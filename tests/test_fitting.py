@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,10 @@ from scgm.fitting import (
     model_search,
     trace_to_json,
 )
-from scgm.graphs import parse_graph, stratified_markov
+from scgm.graphs import load_graph, parse_graph, stratified_markov
 from scgm.oracle import random_positive
 from scgm.regression import scgm_constraint_system
-from scgm.tables import ContingencyTable, VariableSpec
+from scgm.tables import ContingencyTable, VariableSpec, load_table
 
 TIGHT = FitOptions(constraint_tolerance=1e-12, gradient_tolerance=1e-11)
 
@@ -373,3 +375,50 @@ def test_search_input_validation():
         model_search(table, CHAIN3, criterion="best")
     with pytest.raises(StatementError):
         model_search(table, PLANTED4)
+
+# ---------------------------------------------------------------------------
+# solver regressions on sparse and near-boundary tables
+
+GOLDEN = Path(__file__).parent / "golden"
+FIG4 = load_graph(GOLDEN / "fig4.graph")
+
+# fig4 at 288 cells, N = 300 drawn from Dirichlet(0.3) cell probabilities:
+# 60-69% zero cells, so the estimates sit on the boundary (min pi ~ 1e-12).
+# G2 of each default-option fit, converged with df 66.
+SPARSE_G2 = (
+    104.31827968221195,
+    104.39620792120364,
+    126.63124264714052,
+    93.9408172657423,
+    89.55291503394226,
+    113.50023453934557,
+)
+
+
+def golden_table(name):
+    with open(GOLDEN / name, encoding="utf-8") as fh:
+        return load_table(fh, format="csv")
+
+
+@pytest.mark.parametrize("index", range(len(SPARSE_G2)))
+def test_sparse_tables_converge_to_their_deviance(index):
+    table = golden_table(f"fig4_sparse288_{index}.csv")
+    assert np.mean(table.counts == 0) > 0.6
+    res = fit_constrained(table, scgm_constraint_system(FIG4, table.variables))
+    assert res.converged
+    assert res.df == 66
+    assert res.G2 == pytest.approx(SPARSE_G2[index], abs=1e-6)
+
+
+def test_search_candidate_near_the_boundary_converges():
+    # a candidate of the three-step search on a planted 128-cell table
+    # (fig4's components, N = 5000): the complete skeleton without 2 -- 3.
+    # A Newton step without the 1e-12 ridge on the Fisher information
+    # stalls here at G2 149.2146.
+    table = golden_table("planted128.csv")
+    skeleton = load_graph(GOLDEN / "skeleton21.graph")
+    graph = replace(skeleton, edges=tuple(e for e in skeleton.edges if e != ("2", "3")))
+    assert len(graph.edges) + len(graph.arcs) == 20
+    res = fit_constrained(table, scgm_constraint_system(graph, table.variables))
+    assert res.converged
+    assert res.G2 == pytest.approx(149.2141, abs=1e-4)
