@@ -9,9 +9,20 @@ event matrix A and a coefficient matrix C; the system is compiled to that
 form once and the solver works with exact gradients.
 
 The solver runs Lagrangian steps with the multinomial Fisher information
-as the Hessian model, solved least-squares on the KKT system, with step
-halving on a likelihood-plus-feasibility merit.  Probabilities live on
-logits, so every iterate is interior and normalized.
+as the Hessian model, with step halving on a likelihood-plus-feasibility
+merit.  Probabilities live on logits, so every iterate is interior and
+normalized.  Each step is a projection solved on an R x K matrix (R rows,
+K cells), never on the (K+R)-order KKT system: with the logit Jacobian
+J = B diag(pi), the Hessian model diag(pi) + 1e-12 I is factored as s^2
+with s = sqrt(pi + 1e-12), and the step is the gradient g/s plus its
+minimum-norm correction onto {w : J diag(1/s) w = -h}, mapped back by 1/s.
+The rank-one term -pi pi^T of the Fisher information is left out: it only
+moves the step along the all-ones direction, which the softmax ignores.
+The rows of J diag(1/s) are scaled to unit norm before a least-squares
+solve, which also yields the multipliers.  Solving the R x R normal
+equations B diag(pi) B^T lam = B g + h instead squares the conditioning
+and leaves fits with many zero cells unconverged far from the optimum;
+without the 1e-12 term some near-boundary fits stall.
 
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
@@ -30,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import ConstraintSystem
-from .errors import InfeasibleSystemError, ScgmError, StatementError
+from .errors import InfeasibleSystemError, ScgmError, StatementError, ZeroMassSliceError
 from .graphs import (
     Stratum,
     StratifiedChainGraph,
@@ -39,7 +50,8 @@ from .graphs import (
     stratified_markov,
     validate,
 )
-from .params import param_value, signed_events
+# param_value is re-exported: callers wrap it under this module's name
+from .params import param_value, signed_events  # noqa: F401
 from .regression import scgm_constraint_system
 from .tables import (
     ContingencyTable,
@@ -50,6 +62,10 @@ from .tables import (
 
 AIC_FORMULA = "AIC = G2 - 2*(n_cells - df)"
 BIC_FORMULA = "BIC = G2 - ln(N)*(n_cells - df)"
+
+# added to the Fisher information's diagonal in the Newton step; keeps the
+# step finite on cells whose mass has collapsed towards zero
+RIDGE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +203,18 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CompiledSystem:
-    """Constraint rows as h(pi) = C log(A pi); A holds 0/1 event selectors."""
+    """Constraint rows as h(pi) = C log(A pi); A holds 0/1 event selectors.
+
+    P holds one signed event row per entry of ``indices``, so the
+    parameters referenced by the system are P log(A pi) and C = C_idx P
+    for the rows' coefficients C_idx on those parameters.
+    """
 
     variables: tuple
+    indices: tuple
     A: np.ndarray
     C: np.ndarray
+    P: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -204,37 +227,49 @@ class CompiledSystem:
         masses = self.A @ pi
         return self.C @ (self.A / masses[:, None])
 
+    def param_values(self, pi):
+        """Every parameter in ``indices`` at pi, in that order."""
+        masses = self.A @ pi
+        if np.any(masses <= 0.0):
+            zero = np.nonzero(self.P[:, masses <= 0.0].any(axis=1))[0][0]
+            idx = self.indices[zero]
+            raise ZeroMassSliceError(
+                f"zero-probability event for parameter {idx.margin}/{idx.effect}"
+            )
+        return self.P @ np.log(masses)
+
 
 def compile_system(variables, system: ConstraintSystem) -> CompiledSystem:
     variables = tuple(variables)
     cards = tuple(s.cardinality for s in variables)
     n_cells = int(np.prod(cards))
+    indices = system.indices
     event_pos = {}
     columns = []
-    row_maps = []
-    for row in system.rows:
+    index_maps = []
+    for idx in indices:
+        mspecs = subset_in_order(variables, idx.margin)
         acc = {}
-        for term in row.terms:
-            mspecs = subset_in_order(variables, term.index.margin)
-            cmap = dict(zip(term.index.effect, term.index.cell))
-            for sign, event in signed_events(mspecs, term.index.effect, cmap):
-                key = (
-                    term.index.margin,
-                    tuple(tuple(event[s.name]) for s in mspecs),
-                )
-                pos = event_pos.get(key)
-                if pos is None:
-                    pos = len(columns)
-                    event_pos[key] = pos
-                    columns.append(_event_indicator(variables, event))
-                acc[pos] = acc.get(pos, 0.0) + term.coef * sign
-        row_maps.append(acc)
+        for sign, event in signed_events(mspecs, idx.effect, dict(zip(idx.effect, idx.cell))):
+            key = (idx.margin, tuple(tuple(event[s.name]) for s in mspecs))
+            pos = event_pos.get(key)
+            if pos is None:
+                pos = len(columns)
+                event_pos[key] = pos
+                columns.append(_event_indicator(variables, event))
+            acc[pos] = acc.get(pos, 0.0) + sign
+        index_maps.append(acc)
     A = np.array(columns) if columns else np.zeros((0, n_cells))
-    C = np.zeros((len(row_maps), len(columns)))
-    for r, acc in enumerate(row_maps):
-        for pos, coef in acc.items():
-            C[r, pos] = coef
-    return CompiledSystem(variables, A, C)
+    P = np.zeros((len(indices), len(columns)))
+    for i, acc in enumerate(index_maps):
+        for pos, sign in acc.items():
+            P[i, pos] = sign
+    index_pos = {idx: i for i, idx in enumerate(indices)}
+    C_idx = np.zeros((len(system.rows), len(indices)))
+    for r, row in enumerate(system.rows):
+        for term in row.terms:
+            C_idx[r, index_pos[term.index]] += term.coef
+    return CompiledSystem(variables, indices, A, C_idx @ P, P)
 
 
 def _event_indicator(variables, event):
@@ -250,11 +285,35 @@ def _event_indicator(variables, event):
     return arr.ravel()
 
 
-def _jacobian_logits(compiled, pi):
-    # chain rule through the softmax: row r, cell k ->
-    # pi_k * (d h_r / d pi_k - sum_j pi_j d h_r / d pi_j)
+def _centred_jacobian(compiled, pi):
+    """B = M - (M pi) 1^T for M = dh/dpi; the logit Jacobian is B diag(pi)."""
     M = compiled.jacobian_pi(pi)
-    return (M - (M @ pi)[:, None]) * pi[None, :]
+    return M - (M @ pi)[:, None]
+
+
+def _projection_step(B, pi, g, h):
+    """Newton step (dx, lam) on the logits, from an R x K least squares.
+
+    Solves (diag(pi) + RIDGE I) dx + J^T lam = g, J dx = -h for
+    J = B diag(pi): in the coordinates u = s dx, s = sqrt(pi + RIDGE), the
+    step is q = g / s plus the minimum-norm w with Jt w = -h - Jt q, where
+    Jt = J diag(1/s), and lam solves Jt^T lam = -w.  Rows of Jt and the
+    right-hand side are scaled to unit norm; one least-squares solve with
+    the identity as extra right-hand sides gives w and pinv(Jt), hence lam.
+    """
+    s = np.sqrt(pi + RIDGE)
+    Jt = B * (pi / s)[None, :]
+    q = g / s
+    rhs = -h - Jt @ q
+    norms = np.linalg.norm(Jt, axis=1)
+    norms[norms == 0.0] = 1.0
+    Jt /= norms[:, None]
+    rhs /= norms
+    R = rhs.size
+    sol, *_ = np.linalg.lstsq(Jt, np.column_stack([rhs, np.eye(R)]), rcond=None)
+    w = sol[:, 0]
+    lam = -(sol[:, 1:].T @ w) / norms
+    return (q + w) / s, lam
 
 
 def _rank(mat, rows) -> int:
@@ -341,7 +400,8 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         pi = np.exp(z)
         pi /= pi.sum()
         h = compiled.value(pi)
-        J = _jacobian_logits(compiled, pi)
+        B = _centred_jacobian(compiled, pi)
+        J = B * pi[None, :]
         g = p_obs - pi
         stationarity = g - J.T @ lam
         feas = float(np.abs(h).max())
@@ -358,17 +418,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
             converged = True
             break
 
-        K = pi.size
-        R = compiled.n_rows
-        H = np.diag(pi) - np.outer(pi, pi) + 1e-12 * np.eye(K)
-        kkt = np.zeros((K + R, K + R))
-        kkt[:K, :K] = H
-        kkt[:K, K:] = J.T
-        kkt[K:, :K] = J
-        rhs = np.concatenate([g, -h])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        dx = sol[:K]
-        lam_new = sol[K:]
+        dx, lam_new = _projection_step(B, pi, g, h)
 
         mu = max(1.0, 2.0 * float(np.abs(lam_new).max(initial=0.0)))
         phi0, _ = merit(x, mu)
@@ -399,7 +449,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
     pi /= pi.sum()
     h = compiled.value(pi)
     feas = float(np.abs(h).max())
-    J = _jacobian_logits(compiled, pi)
+    J = _centred_jacobian(compiled, pi) * pi[None, :]
     stationarity = (p_obs - pi) - J.T @ lam
     kkt_residual = max(float(np.abs(stationarity).max()), feas)
 
@@ -417,10 +467,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
     df = _rank(J, compiled.n_rows)
     p = chisq_sf(G2, df) if df >= 1 else 1.0
     aic, bic = information_criteria(G2, df, n_cells, N)
-    eta_hat = {
-        idx: param_value(pv_hat, idx.margin, idx.effect, idx.cell)
-        for idx in system.indices
-    }
+    eta_hat = dict(zip(compiled.indices, compiled.param_values(pi).tolist()))
     return FitResult(
         pi_hat=pv_hat,
         eta_hat=eta_hat,

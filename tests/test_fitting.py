@@ -17,6 +17,8 @@ from scgm.fitting import (
     FitOptions,
     FitResult,
     chisq_sf,
+    _centred_jacobian,
+    _projection_step,
     compile_system,
     fit_constrained,
     fit_to_json,
@@ -414,7 +416,7 @@ def test_search_candidate_near_the_boundary_converges():
     # a candidate of the three-step search on a planted 128-cell table
     # (fig4's components, N = 5000): the complete skeleton without 2 -- 3.
     # A Newton step without the 1e-12 ridge on the Fisher information
-    # stalls here at G2 149.2146.
+    # stalls here, unconverged at G2 149.2148.
     table = golden_table("planted128.csv")
     skeleton = load_graph(GOLDEN / "skeleton21.graph")
     graph = replace(skeleton, edges=tuple(e for e in skeleton.edges if e != ("2", "3")))
@@ -422,3 +424,41 @@ def test_search_candidate_near_the_boundary_converges():
     res = fit_constrained(table, scgm_constraint_system(graph, table.variables))
     assert res.converged
     assert res.G2 == pytest.approx(149.2141, abs=1e-4)
+
+
+def dense_kkt_step(J, pi, g, h):
+    """Reference Newton step: least squares on the full (K+R)-order KKT system."""
+    K, R = pi.size, h.size
+    kkt = np.zeros((K + R, K + R))
+    kkt[:K, :K] = np.diag(pi) - np.outer(pi, pi) + 1e-12 * np.eye(K)
+    kkt[:K, K:] = J.T
+    kkt[K:, :K] = J
+    sol, *_ = np.linalg.lstsq(kkt, np.concatenate([g, -h]), rcond=None)
+    return sol[:K], sol[K:]
+
+
+@pytest.mark.parametrize("case", ["sparse288", "planted128"])
+def test_projection_step_matches_the_dense_kkt_step(case):
+    if case == "sparse288":
+        table, graph = golden_table("fig4_sparse288_0.csv"), FIG4
+    else:
+        table = golden_table("planted128.csv")
+        skeleton = load_graph(GOLDEN / "skeleton21.graph")
+        graph = replace(skeleton, edges=tuple(e for e in skeleton.edges if e != ("2", "3")))
+    compiled = compile_system(table.variables, scgm_constraint_system(graph, table.variables))
+    counts = np.asarray(table.counts, dtype=float)
+    N = counts.sum()
+    # the solver's starting point, then full reference steps
+    x = np.log((counts + 0.5) / (N + 0.5 * counts.size))
+    for _ in range(3):
+        pi = np.exp(x - x.max())
+        pi /= pi.sum()
+        B = _centred_jacobian(compiled, pi)
+        g, h = counts / N - pi, compiled.value(pi)
+        dx_ref, lam_ref = dense_kkt_step(B * pi, pi, g, h)
+        dx, lam = _projection_step(B, pi, g, h)
+        # steps that differ along the all-ones direction move pi alike
+        centred = np.abs((dx - pi @ dx) - (dx_ref - pi @ dx_ref))
+        assert centred.max() < 1e-7
+        assert np.abs(lam - lam_ref).max() < 1e-10
+        x = x + dx_ref
