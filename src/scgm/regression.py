@@ -183,7 +183,8 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
     components = []
     table = {}
     for name, members in chain_components(graph):
-        pa = parents_of_component(graph, name)
+        # covariates in table order, the order coefficient keys use
+        pa = _ordered(names, parents_of_component(graph, name))
         for v in pa:
             if spec_by[v].coding not in ("baseline", "local"):
                 raise UnsupportedCodingError(

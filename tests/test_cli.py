@@ -172,6 +172,21 @@ def test_fit_writes_all_outputs(workdir, capsys):
     assert report["schema"] == "scgm-report/1"
 
 
+def test_fit_on_fig4_writes_the_regression_report(tmp_path, capsys):
+    # fig4's component T3 has parents declared out of table order
+    out_dir = tmp_path / "fig4"
+    code = main(
+        ["fit", "--table", str(GOLDEN / "fig4_sparse288_0.csv"),
+         "--graph", str(GOLDEN / "fig4.graph"), "--out", str(out_dir)]
+    )
+    assert code == 0
+    assert "regression report skipped" not in capsys.readouterr().err
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert [c["name"] for c in report["components"]] == ["T1", "T2", "T3"]
+    for name in ("T1", "T2", "T3"):
+        assert (out_dir / f"conditional_{name}.csv").exists()
+
+
 def test_fit_accepts_json_tables_and_repeats_byte_identically(workdir, capsys):
     out_a = workdir / "fit-a"
     out_b = workdir / "fit-b"

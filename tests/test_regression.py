@@ -427,6 +427,24 @@ def test_three_layer_system_covers_every_markov_statement():
             assert frozenset(term.index.margin) in {frozenset(m) for m in margins}
 
 
+def test_fig4_report_keys_covariates_in_table_order():
+    # fig4 declares its parent components as {5,6,7} before {2,3,4}; the
+    # coefficients must still be keyed, reported and inverted in table order
+    g = load("fig4.graph")
+    vs = variables((2, 2, 2, 2, 3, 3, 2), codings=("baseline",) * 4 + ("local",) * 3)
+    pv = probability_vector(vs, np.random.default_rng(53).dirichlet(np.ones(288)))
+    vec, system = system_for(pv, g)
+    assert system.component("T3").covariates == ("2", "3", "4", "5", "6", "7")
+    report = regression_report(system)
+    assert report["components"][2]["covariates"] == ["2", "3", "4", "5", "6", "7"]
+    assert system.coefficient({"1": 1}, {"2": 1, "5": 1}) == system.table[
+        (("1",), (1,), ("2", "5"), (1, 1))
+    ]
+    back = params_from_regression(system)
+    for idx, val in vec.values.items():
+        assert back.values[idx] == pytest.approx(val, abs=1e-12), idx
+
+
 # ---------------------------------------------------------------------------
 # report tables
 
