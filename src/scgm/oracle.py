@@ -434,12 +434,14 @@ def plant_graph_distribution(
     for k, comp in enumerate(components):
         for v in comp:
             comp_of[v] = k
-    edge_set = {frozenset(e) for e in edges}
-    arc_set = {tuple(a) for a in arcs}
-    parents = {v: tuple(p for (p, c) in arc_set if c == v) for v in names}
+    # input order, duplicates dropped: iterating a set would make the draws
+    # depend on string hashing, i.e. on PYTHONHASHSEED
+    edge_list = list(dict.fromkeys(frozenset(e) for e in edges))
+    arc_list = list(dict.fromkeys(tuple(a) for a in arcs))
+    parents = {v: tuple(p for (p, c) in arc_list if c == v) for v in names}
 
     couplings = []  # (gamma, other, kind, context_names, patterns)
-    for e in edge_set:
+    for e in edge_list:
         a, b = sorted(e, key=names.index)
         couplings.append((b, a, "latent", (), ()))
     for gamma, delta, ctx_names, patterns in strata:

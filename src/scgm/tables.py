@@ -10,7 +10,8 @@ tables produced by a fit can be fed back in as data for consistency
 checks.
 
 Two serialization surfaces are provided. The CSV form is a variable
-header block followed by one ``cell:`` row per nonzero cell; the JSON
+header block followed by one ``cell:`` row per cell, zero counts included
+(the reader accepts omitted cells as zero); the JSON
 form mirrors it under the schema tag ``scgm-table/1``. Both round-trip
 bit-exactly on canonical tables.
 """

@@ -6,6 +6,10 @@ else in the package is later certified against the oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,24 @@ def test_graph_plant_with_arc_stratum():
     )
     assert verify_cs_direct(pv, ("3",), ("2",), ("1",), [(1,)]) < 1e-12
     assert max_log_odds_ratio(pv, ("3",), ("2",), ("1",), (2,)) > 0.05
+
+
+def test_graph_plant_does_not_depend_on_string_hashing():
+    code = (
+        "import sys\n"
+        "from scgm.oracle import plant_graph_distribution\n"
+        "from scgm.tables import VariableSpec\n"
+        "five = tuple(VariableSpec(str(k), 2) for k in range(1, 6))\n"
+        f"pv = plant_graph_distribution(five, {COMPS!r}, {EDGES!r}, {ARCS!r}, 0)\n"
+        "sys.stdout.buffer.write(pv.probs.tobytes())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+        )
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 32 * 8
+    assert outputs[0] == outputs[1]
