@@ -12,17 +12,22 @@ The solver runs Lagrangian steps with the multinomial Fisher information
 as the Hessian model, with step halving on a likelihood-plus-feasibility
 merit.  Probabilities live on logits, so every iterate is interior and
 normalized.  Each step is a projection solved on an R x K matrix (R rows,
-K cells), never on the (K+R)-order KKT system: with the logit Jacobian
-J = B diag(pi), the Hessian model diag(pi) + 1e-12 I is factored as s^2
-with s = sqrt(pi + 1e-12), and the step is the gradient g/s plus its
-minimum-norm correction onto {w : J diag(1/s) w = -h}, mapped back by 1/s.
-The rank-one term -pi pi^T of the Fisher information is left out: it only
-moves the step along the all-ones direction, which the softmax ignores.
-The rows of J diag(1/s) are scaled to unit norm before a least-squares
-solve, which also yields the multipliers.  Solving the R x R normal
-equations B diag(pi) B^T lam = B g + h instead squares the conditioning
-and leaves fits with many zero cells unconverged far from the optimum;
-without the 1e-12 term some near-boundary fits stall.
+K cells), never on the (K+R)-order KKT system.  With the logit Jacobian
+J = B diag(pi), the Hessian model diag(pi) + 1e-12 I is factored as s^2,
+s = sqrt(pi + 1e-12); the step is the scaled gradient g/s plus the
+minimum-norm correction that puts it on {u : J diag(1/s) u = -h}, mapped
+back by 1/s.  The rank-one term -pi pi^T of the Fisher information is left out:
+it moves the step along the all-ones direction, which the softmax
+ignores, up to terms of relative size 1e-12/pi.  The rows of
+J diag(1/s) are scaled to unit norm before one least-squares solve,
+which gives the correction, the multipliers and the pseudo-inverse; one
+refinement step with the pseudo-inverse restores J dx = -h where a
+collapsing cell makes the gradient and its correction cancel.
+
+Two simpler forms fail near the boundary.  The R x R normal equations
+B diag(pi) B^T lam = B g + h square the conditioning and leave fits with
+many zero cells unconverged far from the optimum; without the 1e-12 term
+some near-boundary fits stall.
 
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
@@ -299,7 +304,8 @@ def _projection_step(B, pi, g, h):
     step is q = g / s plus the minimum-norm w with Jt w = -h - Jt q, where
     Jt = J diag(1/s), and lam solves Jt^T lam = -w.  Rows of Jt and the
     right-hand side are scaled to unit norm; one least-squares solve with
-    the identity as extra right-hand sides gives w and pinv(Jt), hence lam.
+    the identity as extra right-hand sides gives w and pinv(Jt), hence lam
+    and a refinement step on the linearised constraints.
     """
     s = np.sqrt(pi + RIDGE)
     Jt = B * (pi / s)[None, :]
@@ -311,9 +317,14 @@ def _projection_step(B, pi, g, h):
     rhs /= norms
     R = rhs.size
     sol, *_ = np.linalg.lstsq(Jt, np.column_stack([rhs, np.eye(R)]), rcond=None)
-    w = sol[:, 0]
-    lam = -(sol[:, 1:].T @ w) / norms
-    return (q + w) / s, lam
+    w, pinv = sol[:, 0], sol[:, 1:]
+    lam = -(pinv.T @ w) / norms
+    dx = (q + w) / s
+    # one step of refinement on J dx = -h: where a cell's mass nears zero, q
+    # and w are large and cancel in q + w, leaving J dx off by far more than h
+    residual = (-h - B @ (pi * dx)) / norms
+    dx += (pinv @ residual) / s
+    return dx, lam
 
 
 def _rank(mat, rows) -> int:

@@ -26,7 +26,7 @@ from scgm.fitting import (
     model_search,
     trace_to_json,
 )
-from scgm.graphs import load_graph, parse_graph, stratified_markov
+from scgm.graphs import Stratum, load_graph, parse_graph, stratified_markov
 from scgm.oracle import random_positive
 from scgm.regression import scgm_constraint_system
 from scgm.tables import ContingencyTable, VariableSpec, load_table
@@ -412,18 +412,37 @@ def test_sparse_tables_converge_to_their_deviance(index):
     assert res.G2 == pytest.approx(SPARSE_G2[index], abs=1e-6)
 
 
-def test_search_candidate_near_the_boundary_converges():
-    # a candidate of the three-step search on a planted 128-cell table
-    # (fig4's components, N = 5000): the complete skeleton without 2 -- 3.
-    # A Newton step without the 1e-12 ridge on the Fisher information
-    # stalls here, unconverged at G2 149.2148.
-    table = golden_table("planted128.csv")
+def search_candidate(removed_arcs=(), strata=()):
+    """The complete 21-link skeleton without edge 2 -- 3, and more."""
     skeleton = load_graph(GOLDEN / "skeleton21.graph")
-    graph = replace(skeleton, edges=tuple(e for e in skeleton.edges if e != ("2", "3")))
-    assert len(graph.edges) + len(graph.arcs) == 20
-    res = fit_constrained(table, scgm_constraint_system(graph, table.variables))
+    return replace(
+        skeleton,
+        edges=tuple(e for e in skeleton.edges if e != ("2", "3")),
+        arcs=tuple(a for a in skeleton.arcs if a not in removed_arcs),
+        strata=strata,
+    )
+
+
+def test_search_candidates_near_the_boundary_converge():
+    # candidates of the three-step search on two planted 128-cell tables
+    # (fig4's components, N = 5000), with cells whose mass goes to zero.
+    # Without the 1e-12 ridge on the Fisher information the first fit stops
+    # unconverged at G2 149.2142; without the refinement of the projection
+    # step the second stalls after 229 iterations at G2 618.4648.
+    table = golden_table("planted128_2.csv")
+    res = fit_constrained(table, scgm_constraint_system(search_candidate(), table.variables))
     assert res.converged
     assert res.G2 == pytest.approx(149.2141, abs=1e-4)
+
+    table = golden_table("planted128_0.csv")
+    graph = search_candidate(
+        removed_arcs=(("2", "1"), ("4", "1"), ("6", "1")),
+        strata=(Stratum(("2", "3"), ("6",), ((2,),)),),
+    )
+    res = fit_constrained(table, scgm_constraint_system(graph, table.variables))
+    assert res.converged
+    assert res.iterations == 384
+    assert res.G2 == pytest.approx(618.46454, abs=1e-5)
 
 
 def dense_kkt_step(J, pi, g, h):
@@ -442,9 +461,7 @@ def test_projection_step_matches_the_dense_kkt_step(case):
     if case == "sparse288":
         table, graph = golden_table("fig4_sparse288_0.csv"), FIG4
     else:
-        table = golden_table("planted128.csv")
-        skeleton = load_graph(GOLDEN / "skeleton21.graph")
-        graph = replace(skeleton, edges=tuple(e for e in skeleton.edges if e != ("2", "3")))
+        table, graph = golden_table("planted128_2.csv"), search_candidate()
     compiled = compile_system(table.variables, scgm_constraint_system(graph, table.variables))
     counts = np.asarray(table.counts, dtype=float)
     N = counts.sum()
