@@ -183,7 +183,9 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
     components = []
     table = {}
     for name, members in chain_components(graph):
-        # covariates in table order, the order coefficient keys use
+        # responses and covariates in table order, the order coefficient
+        # keys use, whatever order the graph declares them in
+        members = _ordered(names, members)
         pa = _ordered(names, parents_of_component(graph, name))
         for v in pa:
             if spec_by[v].coding not in ("baseline", "local"):

@@ -445,6 +445,21 @@ def test_fig4_report_keys_covariates_in_table_order():
         assert back.values[idx] == pytest.approx(val, abs=1e-12), idx
 
 
+def test_component_declared_out_of_table_order_reports_and_inverts():
+    g = parse_graph(
+        "component T1 = {1}\ncomponent T2 = {4,2,3}\n"
+        "edge 2 -- 3\nedge 3 -- 4\nedge 2 -- 4\narc 1 -> 2\narc 1 -> 3\narc 1 -> 4\n"
+    )
+    vs = variables((2, 2, 2, 2))
+    pv = probability_vector(vs, np.random.default_rng(54).dirichlet(np.ones(16)))
+    vec, system = system_for(pv, g)
+    assert system.component("T2").members == ("2", "3", "4")
+    assert regression_report(system)["components"][1]["responses"] == ["2", "3", "4"]
+    back = params_from_regression(system)
+    for idx, val in vec.values.items():
+        assert back.values[idx] == pytest.approx(val, abs=1e-12), idx
+
+
 # ---------------------------------------------------------------------------
 # report tables
 
