@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 
 from scgm.constraints import constraints_conditional, generate_constraints, parse_statement
-from scgm.errors import StatementError
+from scgm.errors import StatementError, ZeroMassSliceError
 from scgm.fitting import (
     AIC_FORMULA,
     BIC_FORMULA,
@@ -28,6 +28,7 @@ from scgm.fitting import (
 )
 from scgm.graphs import Stratum, load_graph, parse_graph, stratified_markov
 from scgm.oracle import random_positive
+from scgm.params import param_value
 from scgm.regression import scgm_constraint_system
 from scgm.tables import ContingencyTable, VariableSpec, load_table
 
@@ -183,6 +184,23 @@ def test_plant_and_fit_reaches_zero_deviance():
         assert res.converged
         assert res.G2 < 1e-6
         assert all(abs(v) < 1e-6 for v in res.eta_hat.values())
+
+
+def test_compiled_parameters_match_param_value():
+    system = scgm_constraint_system(FIG_A, V5)
+    compiled = compile_system(V5, system)
+    assert compiled.indices == system.indices
+    pv = random_positive(V5, seed=67)
+    got = compiled.param_values(pv.as_array().ravel())
+    for idx, value in zip(compiled.indices, got):
+        assert value == pytest.approx(
+            param_value(pv, idx.margin, idx.effect, idx.cell), abs=1e-12
+        ), idx
+    # no mass where variable 1 is at level 1
+    probs = pv.as_array().copy()
+    probs[0] = 0.0
+    with pytest.raises(ZeroMassSliceError):
+        compiled.param_values(probs.ravel() / probs.sum())
 
 
 def test_fitted_parameters_satisfy_the_rows():
