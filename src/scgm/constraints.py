@@ -17,14 +17,13 @@ on the system because closed-form counting identities refer to it.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StatementError, UnsupportedCodingError
-from .params import ParamIndex, param_index, param_value
+from .params import ParamIndex, param_index, param_values
 from .tables import ProbabilityVector, VariableSpec, probability_vector, subset_in_order, variable_names
 
 
@@ -481,7 +480,7 @@ def context_cell_rows(stmt, variables, alloc=None, version="straddling") -> Cons
     return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
 
 
-def constraints_baseline(stmt, variables, alloc=None, version="straddling"):
+def constraints_baseline(stmt, variables, alloc=None):
     """Rows for baseline-coded conditioning variables (list/pattern context)."""
     stmt = validate_statement(stmt, variables)
     spec_by = {s.name: s for s in variables}
@@ -490,10 +489,10 @@ def constraints_baseline(stmt, variables, alloc=None, version="straddling"):
             raise UnsupportedCodingError(
                 f"baseline constraint generation requires baseline coding on {n!r}"
             )
-    return context_cell_rows(stmt, variables, alloc, version)
+    return context_cell_rows(stmt, variables, alloc)
 
 
-def constraints_local(stmt, variables, alloc=None, version="straddling"):
+def constraints_local(stmt, variables, alloc=None):
     """Rows for local-coded conditioning variables (list/pattern context)."""
     stmt = validate_statement(stmt, variables)
     spec_by = {s.name: s for s in variables}
@@ -502,7 +501,7 @@ def constraints_local(stmt, variables, alloc=None, version="straddling"):
             raise UnsupportedCodingError(
                 f"local constraint generation requires local coding on {n!r}"
             )
-    return context_cell_rows(stmt, variables, alloc, version)
+    return context_cell_rows(stmt, variables, alloc)
 
 
 def reverse_variable_levels(pv: ProbabilityVector, names) -> ProbabilityVector:
@@ -511,22 +510,9 @@ def reverse_variable_levels(pv: ProbabilityVector, names) -> ProbabilityVector:
     Continuation and reverse-continuation exchange roles on a reversed
     scale; baseline and local keep their labels.
     """
-    flip = {"continuation": "reverse-continuation", "reverse-continuation": "continuation"}
-    new_specs = []
-    axes = []
-    for k, spec in enumerate(pv.variables):
-        if spec.name in names:
-            axes.append(k)
-            new_specs.append(
-                VariableSpec(spec.name, spec.cardinality, flip.get(spec.coding, spec.coding),
-                             tuple(reversed(spec.level_labels)) if spec.level_labels else None)
-            )
-        else:
-            new_specs.append(spec)
-    arr = pv.as_array()
-    for k in axes:
-        arr = np.flip(arr, axis=k)
-    return probability_vector(tuple(new_specs), arr.ravel())
+    axes = tuple(k for k, spec in enumerate(pv.variables) if spec.name in names)
+    arr = np.flip(pv.as_array(), axis=axes)
+    return probability_vector(reversed_context_specs(pv.variables, names), arr.ravel())
 
 
 def reversed_context_specs(variables, names):
@@ -544,7 +530,7 @@ def reversed_context_specs(variables, names):
     return tuple(out)
 
 
-def threshold_rows(stmt, variables, alloc=None, version="straddling") -> ConstraintSystem:
+def threshold_rows(stmt, variables, alloc=None) -> ConstraintSystem:
     """Single-term rows for threshold contexts.
 
     Inside an upper threshold every parameter whose context coordinates sit
@@ -564,7 +550,7 @@ def threshold_rows(stmt, variables, alloc=None, version="straddling") -> Constra
             spec_by[n].cardinality + 1 - b for n, b in zip(stmt.given, stmt.context.bound)
         )
         flipped = Statement(stmt.lhs, stmt.rhs, stmt.given, ThresholdContext(bound, "geq"))
-        inner = threshold_rows(flipped, rev, alloc, version)
+        inner = threshold_rows(flipped, rev, alloc)
         origin = render_statement(stmt)
         rows = tuple(Row(r.terms, origin) for r in inner.rows)
         return ConstraintSystem(inner.variables, rows, inner.pre_dedup_count, origin)
@@ -584,7 +570,7 @@ def threshold_rows(stmt, variables, alloc=None, version="straddling") -> Constra
     bound_by = dict(zip(C, stmt.context.bound))
 
     rows = []
-    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs, version), names):
+    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs), names):
         for r in range(len(C) + 1):
             for c_vars in itertools.combinations(C, r):
                 c_ranges = [
@@ -601,7 +587,7 @@ def threshold_rows(stmt, variables, alloc=None, version="straddling") -> Constra
     return ConstraintSystem(sysvars, _dedup(rows), len(rows), origin)
 
 
-def constraints_conditional(lhs, rhs, given, variables, alloc=None, version="straddling"):
+def constraints_conditional(lhs, rhs, given, variables, alloc=None):
     """Zero constraints equivalent to plain conditional independence."""
     stmt = validate_statement(Statement(tuple(lhs), tuple(rhs), tuple(given), None), variables)
     names = variable_names(variables)
@@ -610,7 +596,7 @@ def constraints_conditional(lhs, rhs, given, variables, alloc=None, version="str
     origin = render_statement(stmt)
     rows = []
     C = stmt.given
-    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs, version), names):
+    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs), names):
         for r in range(len(C) + 1):
             for c_vars in itertools.combinations(C, r):
                 effect = tuple(n for n in names if n in v + c_vars)
@@ -620,14 +606,14 @@ def constraints_conditional(lhs, rhs, given, variables, alloc=None, version="str
     return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
 
 
-def generate_constraints(stmt, variables, alloc=None, version="straddling"):
+def generate_constraints(stmt, variables, alloc=None):
     """Dispatch a statement to the appropriate generator."""
     stmt = validate_statement(stmt, variables)
     if stmt.context is None:
-        return constraints_conditional(stmt.lhs, stmt.rhs, stmt.given, variables, alloc, version)
+        return constraints_conditional(stmt.lhs, stmt.rhs, stmt.given, variables, alloc)
     if isinstance(stmt.context, ThresholdContext):
-        return threshold_rows(stmt, variables, alloc, version)
-    return context_cell_rows(stmt, variables, alloc, version)
+        return threshold_rows(stmt, variables, alloc)
+    return context_cell_rows(stmt, variables, alloc)
 
 
 def expected_constraint_count(stmt, variables) -> int:
@@ -651,39 +637,16 @@ def expected_constraint_count(stmt, variables) -> int:
 # ---------------------------------------------------------------------------
 # evaluation and export
 
-def evaluate_row(pv: ProbabilityVector, row: Row) -> float:
-    total = 0.0
-    for t in row.terms:
-        total += t.coef * param_value(pv, t.index.margin, t.index.effect, t.index.cell)
-    return total
-
-
 def evaluate_system(pv: ProbabilityVector, system: ConstraintSystem):
-    return np.array([evaluate_row(pv, row) for row in system.rows])
-
-
-def coefficient_matrix(systems):
-    """Stack systems into a dense matrix over the union of their indices.
-
-    Returns (matrix, index list); row blocks follow the input order.  Used
-    for rank comparisons between generation strategies.
-    """
-    index_list = []
-    pos = {}
-    for s in systems:
-        for idx in s.indices:
-            if idx not in pos:
-                pos[idx] = len(index_list)
-                index_list.append(idx)
-    total_rows = sum(len(s.rows) for s in systems)
-    mat = np.zeros((total_rows, len(index_list)))
-    r = 0
-    for s in systems:
-        for row in s.rows:
-            for t in row.terms:
-                mat[r, pos[t.index]] += t.coef
-            r += 1
-    return mat, index_list
+    """Every row's value at ``pv``: parameters once each, then row sums."""
+    values = dict(zip(system.indices, param_values(pv, system.indices)))
+    out = []
+    for row in system.rows:
+        total = 0.0
+        for t in row.terms:
+            total += t.coef * values[t.index]
+        out.append(total)
+    return np.array(out)
 
 
 def system_to_json(system: ConstraintSystem) -> dict:
@@ -713,7 +676,3 @@ def system_to_json(system: ConstraintSystem) -> dict:
             for row in system.rows
         ],
     }
-
-
-def dump_system_json(system: ConstraintSystem) -> str:
-    return json.dumps(system_to_json(system), indent=2, sort_keys=True)

@@ -6,7 +6,10 @@ ConstraintSystem evaluated at the interaction parameters of pi.  Every row
 is a linear combination of parameters, every parameter a signed sum of
 logs of marginal event masses, so h(pi) = C log(A pi) for a fixed 0/1
 event matrix A and a coefficient matrix C; the system is compiled to that
-form once and the solver works with exact gradients.
+form once and the solver works with exact gradients.  ``compile_system``
+reads the events and signs from ``params.event_table``, the same table
+every other parameter evaluation reads, and builds A and the signed
+event rows P of the referenced parameters from it.
 
 The solver runs Lagrangian steps with the multinomial Fisher information
 as the Hessian model, with step halving on a likelihood-plus-feasibility
@@ -56,14 +59,9 @@ from .graphs import (
     validate,
 )
 # param_value is re-exported: callers wrap it under this module's name
-from .params import param_value, signed_events  # noqa: F401
+from .params import event_table, param_value  # noqa: F401
 from .regression import scgm_constraint_system
-from .tables import (
-    ContingencyTable,
-    ProbabilityVector,
-    subset_in_order,
-    variable_names,
-)
+from .tables import ContingencyTable, ProbabilityVector
 
 AIC_FORMULA = "AIC = G2 - 2*(n_cells - df)"
 BIC_FORMULA = "BIC = G2 - ln(N)*(n_cells - df)"
@@ -71,6 +69,9 @@ BIC_FORMULA = "BIC = G2 - ln(N)*(n_cells - df)"
 # added to the Fisher information's diagonal in the Newton step; keeps the
 # step finite on cells whose mass has collapsed towards zero
 RIDGE = 1e-12
+
+# halvings of the step length tried before an iteration counts as stalled
+STEP_HALVING_MAX = 20
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,6 @@ class FitOptions:
 
     max_iterations: int = 500
     constraint_tolerance: float = 1e-8
-    step_halving_max: int = 20
     gradient_tolerance: float = 1e-6
     smoothing: float = 0.5
 
@@ -164,7 +164,6 @@ class FitOptions:
         for name in (
             "max_iterations",
             "constraint_tolerance",
-            "step_halving_max",
             "gradient_tolerance",
             "smoothing",
         ):
@@ -246,29 +245,16 @@ class CompiledSystem:
 
 def compile_system(variables, system: ConstraintSystem) -> CompiledSystem:
     variables = tuple(variables)
-    cards = tuple(s.cardinality for s in variables)
-    n_cells = int(np.prod(cards))
+    n_cells = int(np.prod([s.cardinality for s in variables]))
     indices = system.indices
-    event_pos = {}
-    columns = []
-    index_maps = []
-    for idx in indices:
-        mspecs = subset_in_order(variables, idx.margin)
-        acc = {}
-        for sign, event in signed_events(mspecs, idx.effect, dict(zip(idx.effect, idx.cell))):
-            key = (idx.margin, tuple(tuple(event[s.name]) for s in mspecs))
-            pos = event_pos.get(key)
-            if pos is None:
-                pos = len(columns)
-                event_pos[key] = pos
-                columns.append(_event_indicator(variables, event))
-            acc[pos] = acc.get(pos, 0.0) + sign
-        index_maps.append(acc)
-    A = np.array(columns) if columns else np.zeros((0, n_cells))
-    P = np.zeros((len(indices), len(columns)))
-    for i, acc in enumerate(index_maps):
-        for pos, sign in acc.items():
-            P[i, pos] = sign
+    events, terms = event_table(variables, indices)
+    A = np.zeros((len(events), n_cells))
+    for pos, (margin, levels) in enumerate(events):
+        A[pos] = _event_indicator(variables, dict(zip(margin, levels)))
+    P = np.zeros((len(indices), len(events)))
+    for i, row in enumerate(terms):
+        for pos, sign in row:
+            P[i, pos] += sign
     index_pos = {idx: i for i, idx in enumerate(indices)}
     C_idx = np.zeros((len(system.rows), len(indices)))
     for r, row in enumerate(system.rows):
@@ -277,15 +263,13 @@ def compile_system(variables, system: ConstraintSystem) -> CompiledSystem:
     return CompiledSystem(variables, indices, A, C_idx @ P, P)
 
 
-def _event_indicator(variables, event):
-    shape = tuple(s.cardinality for s in variables)
-    arr = np.zeros(shape)
-    sel = []
-    for s in variables:
-        if s.name in event:
-            sel.append(np.array([l - 1 for l in event[s.name]]))
-        else:
-            sel.append(np.arange(s.cardinality))
+def _event_indicator(variables, levels):
+    """0/1 cell vector of the event pinning each named variable to ``levels``."""
+    arr = np.zeros(tuple(s.cardinality for s in variables))
+    sel = [
+        np.array(levels[s.name]) - 1 if s.name in levels else np.arange(s.cardinality)
+        for s in variables
+    ]
     arr[np.ix_(*sel)] = 1.0
     return arr.ravel()
 
@@ -435,7 +419,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         phi0, _ = merit(x, mu)
         alpha = 1.0
         accepted = False
-        for _ in range(options.step_halving_max + 1):
+        for _ in range(STEP_HALVING_MAX + 1):
             phi_try, _ = merit(x + alpha * dx, mu)
             if phi_try < phi0:
                 accepted = True

@@ -452,12 +452,7 @@ def markov_type_iv(graph):
         raise GraphFormatError(
             "graph has strata; use stratified_markov for the stratified reading"
         )
-    require_valid(graph)
-    stmts = []
-    for name, members in chain_components(graph):
-        c1, c2, c3 = _component_statements(graph, name, members, lambda g, v: True)
-        stmts.extend(c1 + c2 + c3)
-    return _dedup_statements(stmts)
+    return stratified_markov(graph)
 
 
 def _stratum_is_degenerate(s, variables):

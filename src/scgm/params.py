@@ -12,6 +12,18 @@ log is taken.
 First-order parameters therefore come out as log(reference/observed),
 matching the printed closed forms; a dedicated convention test pins this
 direction once and for all.
+
+``event_table`` is the one place that walks the signed events: it lists
+the distinct (margin, levels) events of a set of parameters and each
+parameter's signed terms over them.  Every evaluator reads it.
+``param_values`` (hence ``param_value``, ``param_vector`` and
+``constraints.evaluate_system``) marginalizes each margin once and sums
+each event's slice of the marginal array once; ``fitting.compile_system``
+turns the same table into a dense 0/1 event-by-cell matrix A, which the
+solver needs for its Jacobian anyway.  One-off evaluation keeps slice
+sums: dense per-margin event-by-cell blocks for the 2187-cell fig4
+parameter vector raised the peak memory of a fit-and-report process by
+a fifth (146 MB to 181 MB in the benchmark's fit-dense workload).
 """
 
 from __future__ import annotations
@@ -152,6 +164,55 @@ def param_index(variables, margin, effect, cell) -> ParamIndex:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def event_table(variables, indices, context=None):
+    """The distinct events of ``indices`` and each index's signed terms.
+
+    Returns (events, terms): ``events`` lists (margin, levels) keys in
+    first-seen order, ``levels`` holding one level tuple per margin
+    variable in declaration order; ``terms[i]`` lists the (event position,
+    sign) pairs of ``indices[i]`` in signed-event order.  ``context`` pins
+    non-effect margin variables as in ``signed_events``, for every index.
+    """
+    event_pos = {}
+    terms = []
+    for idx in indices:
+        mspecs = subset_in_order(variables, idx.margin)
+        margin = variable_names(mspecs)
+        cell = dict(zip(idx.effect, idx.cell))
+        row = []
+        for sign, event in signed_events(mspecs, idx.effect, cell, context):
+            key = (margin, tuple(event[name] for name in margin))
+            row.append((event_pos.setdefault(key, len(event_pos)), sign))
+        terms.append(row)
+    return list(event_pos), terms
+
+
+def param_values(pv: ProbabilityVector, indices, context=None) -> list:
+    """Evaluate parameters by index, marginalizing and slice-summing once.
+
+    Raises ZeroMassSliceError for the first index with a non-positive event.
+    """
+    events, terms = event_table(pv.variables, indices, context)
+    marginals = {}
+    masses = []
+    for margin, levels in events:
+        if margin not in marginals:
+            marginals[margin] = marginalize(pv, margin).as_array()
+        sel = np.ix_(*(np.array(lv) - 1 for lv in levels))
+        masses.append(float(marginals[margin][sel].sum()))
+    out = []
+    for idx, row in zip(indices, terms):
+        total = 0.0
+        for pos, sign in row:
+            if masses[pos] <= 0.0:
+                raise ZeroMassSliceError(
+                    f"zero-probability event for parameter {idx.margin}/{idx.effect}"
+                )
+            total += sign * math.log(masses[pos])
+        out.append(total)
+    return out
+
+
 def param_value(pv: ProbabilityVector, margin, effect, cell, context=None) -> float:
     """Evaluate one parameter on a probability vector.
 
@@ -160,20 +221,7 @@ def param_value(pv: ProbabilityVector, margin, effect, cell, context=None) -> fl
     effect at explicit levels or aggregated events instead of the top.
     """
     idx = param_index(pv.variables, margin, effect, cell)
-    mspecs = subset_in_order(pv.variables, idx.margin)
-    marr = marginalize(pv, idx.margin).as_array()
-    cmap = dict(zip(idx.effect, idx.cell))
-
-    total = 0.0
-    for sign, event in signed_events(mspecs, idx.effect, cmap, context):
-        sel = tuple(np.array([l - 1 for l in event[s.name]]) for s in mspecs)
-        mass = float(marr[np.ix_(*sel)].sum())
-        if mass <= 0.0:
-            raise ZeroMassSliceError(
-                f"zero-probability event for parameter {idx.margin}/{idx.effect}"
-            )
-        total += sign * math.log(mass)
-    return total
+    return param_values(pv, [idx], context)[0]
 
 
 def conditional_param(pv: ProbabilityVector, margin, effect, cell, context) -> float:
@@ -190,84 +238,6 @@ def conditional_param(pv: ProbabilityVector, margin, effect, cell, context) -> f
             f"context must pin exactly the margin variables outside the effect {rest}"
         )
     return param_value(pv, margin, effect, cell, context=context)
-
-
-def _reference_context(variables, names, cmap):
-    """Reference events i* for ``names`` at the coordinates in ``cmap``."""
-    ctx = {}
-    for spec in subset_in_order(variables, tuple(names)):
-        _, ref = observed_and_reference(spec, cmap[spec.name])
-        ctx[spec.name] = ref
-    return ctx
-
-
-def expand_conditional_split(pv, margin, effect, split, cell):
-    """Decompose a parameter over effect ∪ split into conditional pieces.
-
-    Returns (lhs, rhs) where lhs is the plain parameter of effect ∪ split
-    and rhs = sum over nonempty J ⊆ split of (-1)^{|J|+1} times the
-    parameter of effect ∪ (split\\J) conditioned on J at its reference
-    events, plus (-1)^{|split|} times the parameter of the effect
-    conditioned on the split at its observed cell.  The two agree on every
-    positive table; callers assert the residual.
-    """
-    effect = tuple(effect)
-    split = tuple(split)
-    if set(effect) & set(split):
-        raise StatementError("effect and split must be disjoint")
-    cmap = cell if isinstance(cell, dict) else dict(zip(effect + split, cell))
-    lhs = param_value(pv, margin, effect + split, {n: cmap[n] for n in effect + split})
-
-    rhs = 0.0
-    for r in range(1, len(split) + 1):
-        for j_vars in itertools.combinations(split, r):
-            # (-1)^{|J|+1}: plus for odd |J|, minus for even
-            sign = 1.0 if r % 2 else -1.0
-            keep = tuple(n for n in split if n not in j_vars)
-            ctx = _reference_context(pv.variables, j_vars, cmap)
-            rhs += sign * param_value(
-                pv, margin, effect + keep, {n: cmap[n] for n in effect + keep}, context=ctx
-            )
-    last_sign = 1.0 if len(split) % 2 == 0 else -1.0
-    # condition on the observed EVENT of each split coordinate; for
-    # reverse-continuation that event is not the coordinate itself
-    obs_ctx = {}
-    for spec in subset_in_order(pv.variables, split):
-        obs, _ = observed_and_reference(spec, cmap[spec.name])
-        obs_ctx[spec.name] = obs
-    rhs += last_sign * param_value(
-        pv,
-        margin,
-        effect,
-        {n: cmap[n] for n in effect},
-        context=obs_ctx,
-    )
-    return lhs, rhs
-
-
-def conditional_param_via_contrasts(pv, margin, effect, cell, context_cell) -> float:
-    """Conditional parameter rebuilt from default-conditioned parameters.
-
-    eta(effect | split = observed) equals the alternating sum over J of the
-    split of (-1)^{|J|} times the parameter of effect ∪ J with split\\J
-    pinned at its reference events.  For baseline-coded split variables the
-    reference is the top, so those terms are plain parameters.
-    """
-    effect = tuple(effect)
-    split = tuple(sorted(context_cell, key=variable_names(pv.variables).index))
-    cmap = dict(cell) if isinstance(cell, dict) else dict(zip(effect, cell))
-    cmap.update(context_cell)
-    total = 0.0
-    for r in range(len(split) + 1):
-        for j_vars in itertools.combinations(split, r):
-            sign = -1.0 if r % 2 else 1.0
-            rest = tuple(n for n in split if n not in j_vars)
-            ctx = _reference_context(pv.variables, rest, cmap)
-            total += sign * param_value(
-                pv, margin, effect + j_vars, {n: cmap[n] for n in effect + j_vars},
-                context=ctx,
-            )
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +345,8 @@ class ParamVector:
 
 def param_vector(pv: ProbabilityVector, allocation: EffectAllocation) -> ParamVector:
     """Evaluate the whole parameterization with default conditioning."""
-    values = {}
-    for idx in allocation.indices():
-        values[idx] = param_value(pv, idx.margin, idx.effect, idx.cell)
-    return ParamVector(allocation, values)
+    indices = tuple(allocation.indices())
+    return ParamVector(allocation, dict(zip(indices, param_values(pv, indices))))
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,6 @@ def variable_names(variables: tuple[VariableSpec, ...]) -> tuple[str, ...]:
     return tuple(v.name for v in variables)
 
 
-def variable_by_name(variables: tuple[VariableSpec, ...], name: str) -> VariableSpec:
-    for v in variables:
-        if v.name == name:
-            return v
-    raise KeyError(f"unknown variable {name!r}")
-
-
 def subset_in_order(
     variables: tuple[VariableSpec, ...], names: tuple[str, ...] | frozenset[str]
 ) -> tuple[VariableSpec, ...]:
@@ -90,12 +83,6 @@ def subset_in_order(
     if unknown:
         raise KeyError(f"unknown variables {sorted(unknown)!r}")
     return tuple(v for v in variables if v.name in wanted)
-
-
-def names_in_order(
-    variables: tuple[VariableSpec, ...], names
-) -> tuple[str, ...]:
-    return tuple(v.name for v in subset_in_order(variables, tuple(names)))
 
 
 def cell_count(variables: tuple[VariableSpec, ...]) -> int:

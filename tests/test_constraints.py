@@ -11,13 +11,11 @@ from scgm.constraints import (
     PatternContext,
     Statement,
     ThresholdContext,
-    coefficient_matrix,
     constraints_baseline,
     constraints_conditional,
     constraints_local,
     context_cell_rows,
     context_cells,
-    evaluate_row,
     evaluate_system,
     expected_constraint_count,
     generate_constraints,
@@ -34,6 +32,30 @@ from scgm.constraints import (
 )
 from scgm.errors import StatementError, UnsupportedCodingError
 from scgm.tables import VariableSpec, probability_vector
+
+
+def coefficient_matrix(systems):
+    """Stack systems into a dense matrix over the union of their indices.
+
+    Returns (matrix, index list); row blocks follow the input order.  Used
+    for rank comparisons between generation strategies.
+    """
+    index_list = []
+    pos = {}
+    for s in systems:
+        for idx in s.indices:
+            if idx not in pos:
+                pos[idx] = len(index_list)
+                index_list.append(idx)
+    total_rows = sum(len(s.rows) for s in systems)
+    mat = np.zeros((total_rows, len(index_list)))
+    r = 0
+    for s in systems:
+        for row in s.rows:
+            for t in row.terms:
+                mat[r, pos[t.index]] += t.coef
+            r += 1
+    return mat, index_list
 
 
 def V(*card_coding):
@@ -118,7 +140,7 @@ def test_local_context_row_value_is_slice_odds_ratio():
     pv = oracle.random_positive(vs, seed=11)
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((2,),)))
     sys_ = constraints_local(stmt, vs)
-    got = np.exp(evaluate_row(pv, sys_.rows[0]))
+    got = np.exp(evaluate_system(pv, sys_)[0])
     arr = pv.as_array()
     want = (arr[0, 1, 1] * arr[1, 0, 1]) / (arr[1, 1, 1] * arr[0, 0, 1])
     assert got == pytest.approx(want, rel=1e-12)

@@ -20,15 +20,19 @@ from scgm.params import (
     allocate_effects,
     baseline_from_local,
     conditional_param,
-    conditional_param_via_contrasts,
-    expand_conditional_split,
     observed_and_reference,
     param_index,
     param_value,
     param_vector,
     signed_events,
 )
-from scgm.tables import VariableSpec, all_cells, probability_vector
+from scgm.tables import (
+    VariableSpec,
+    all_cells,
+    probability_vector,
+    subset_in_order,
+    variable_names,
+)
 
 
 def product_table_3x3():
@@ -170,6 +174,84 @@ def test_four_variable_decomposition_identity_baseline():
         + conditional_param(pv, m, ("p", "q"), {"p": 1, "q": 1}, {"r": 1, "s": 1})
     )
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _reference_context(variables, names, cmap):
+    """Reference events i* for ``names`` at the coordinates in ``cmap``."""
+    ctx = {}
+    for spec in subset_in_order(variables, tuple(names)):
+        _, ref = observed_and_reference(spec, cmap[spec.name])
+        ctx[spec.name] = ref
+    return ctx
+
+
+def expand_conditional_split(pv, margin, effect, split, cell):
+    """Decompose a parameter over effect ∪ split into conditional pieces.
+
+    Returns (lhs, rhs) where lhs is the plain parameter of effect ∪ split
+    and rhs = sum over nonempty J ⊆ split of (-1)^{|J|+1} times the
+    parameter of effect ∪ (split\\J) conditioned on J at its reference
+    events, plus (-1)^{|split|} times the parameter of the effect
+    conditioned on the split at its observed cell.  The two agree on every
+    positive table; callers assert the residual.
+    """
+    effect = tuple(effect)
+    split = tuple(split)
+    if set(effect) & set(split):
+        raise StatementError("effect and split must be disjoint")
+    cmap = cell if isinstance(cell, dict) else dict(zip(effect + split, cell))
+    lhs = param_value(pv, margin, effect + split, {n: cmap[n] for n in effect + split})
+
+    rhs = 0.0
+    for r in range(1, len(split) + 1):
+        for j_vars in itertools.combinations(split, r):
+            # (-1)^{|J|+1}: plus for odd |J|, minus for even
+            sign = 1.0 if r % 2 else -1.0
+            keep = tuple(n for n in split if n not in j_vars)
+            ctx = _reference_context(pv.variables, j_vars, cmap)
+            rhs += sign * param_value(
+                pv, margin, effect + keep, {n: cmap[n] for n in effect + keep}, context=ctx
+            )
+    last_sign = 1.0 if len(split) % 2 == 0 else -1.0
+    # condition on the observed EVENT of each split coordinate; for
+    # reverse-continuation that event is not the coordinate itself
+    obs_ctx = {}
+    for spec in subset_in_order(pv.variables, split):
+        obs, _ = observed_and_reference(spec, cmap[spec.name])
+        obs_ctx[spec.name] = obs
+    rhs += last_sign * param_value(
+        pv,
+        margin,
+        effect,
+        {n: cmap[n] for n in effect},
+        context=obs_ctx,
+    )
+    return lhs, rhs
+
+
+def conditional_param_via_contrasts(pv, margin, effect, cell, context_cell) -> float:
+    """Conditional parameter rebuilt from default-conditioned parameters.
+
+    eta(effect | split = observed) equals the alternating sum over J of the
+    split of (-1)^{|J|} times the parameter of effect ∪ J with split\\J
+    pinned at its reference events.  For baseline-coded split variables the
+    reference is the top, so those terms are plain parameters.
+    """
+    effect = tuple(effect)
+    split = tuple(sorted(context_cell, key=variable_names(pv.variables).index))
+    cmap = dict(cell) if isinstance(cell, dict) else dict(zip(effect, cell))
+    cmap.update(context_cell)
+    total = 0.0
+    for r in range(len(split) + 1):
+        for j_vars in itertools.combinations(split, r):
+            sign = -1.0 if r % 2 else 1.0
+            rest = tuple(n for n in split if n not in j_vars)
+            ctx = _reference_context(pv.variables, rest, cmap)
+            total += sign * param_value(
+                pv, margin, effect + j_vars, {n: cmap[n] for n in effect + j_vars},
+                context=ctx,
+            )
+    return total
 
 
 def split_residual(pv, margin, effect, split, cell):
@@ -382,6 +464,18 @@ def test_zero_event_raises():
     pv = probability_vector(vs, [0.0, 0.3, 0.3, 0.4])
     with pytest.raises(ZeroMassSliceError):
         param_value(pv, ("a", "b"), ("a", "b"), {"a": 1, "b": 1})
+
+
+def test_param_vector_raises_on_zero_mass_margin_slice():
+    # no mass where a = 1 and c = 3, so the first parameter, eta_a on the
+    # margin {a, c} (pinned at c = 3), has an empty event
+    vs = (VariableSpec("a", 2), VariableSpec("b", 2), VariableSpec("c", 3))
+    probs = np.ones((2, 2, 3))
+    probs[0, :, 2] = 0.0
+    pv = probability_vector(vs, probs.ravel())
+    alloc = allocate_effects(vs, [("a", "c"), ("a", "b", "c")])
+    with pytest.raises(ZeroMassSliceError, match=r"\('a', 'c'\)/\('a',\)"):
+        param_vector(pv, alloc)
 
 
 def test_injectivity_smoke_on_saturated_allocation():
