@@ -248,13 +248,13 @@ def compile_system(variables, system: ConstraintSystem) -> CompiledSystem:
     n_cells = int(np.prod([s.cardinality for s in variables]))
     indices = system.indices
     events, terms = event_table(variables, indices)
-    A = np.zeros((len(events), n_cells))
+    A = np.empty((len(events), n_cells))
     for pos, (margin, levels) in enumerate(events):
         A[pos] = _event_indicator(variables, dict(zip(margin, levels)))
     P = np.zeros((len(indices), len(events)))
     for i, row in enumerate(terms):
         for pos, sign in row:
-            P[i, pos] += sign
+            P[i, pos] = sign  # an index's events are distinct
     index_pos = {idx: i for i, idx in enumerate(indices)}
     C_idx = np.zeros((len(system.rows), len(indices)))
     for r, row in enumerate(system.rows):
@@ -267,7 +267,8 @@ def _event_indicator(variables, levels):
     """0/1 cell vector of the event pinning each named variable to ``levels``."""
     arr = np.zeros(tuple(s.cardinality for s in variables))
     sel = [
-        np.array(levels[s.name]) - 1 if s.name in levels else np.arange(s.cardinality)
+        np.array([l - 1 for l in levels[s.name]]) if s.name in levels
+        else np.arange(s.cardinality)
         for s in variables
     ]
     arr[np.ix_(*sel)] = 1.0
