@@ -47,8 +47,11 @@ from .fitting import (
 )
 from .graphs import (
     load_graph,
-    parse_graph,
+    # parse_graph is no longer called here but stays importable under this
+    # module's name, where callers wrap it
+    parse_graph,  # noqa: F401
     render_graph,
+    render_stratum,
     stratified_markov,
     validate,
 )
@@ -162,6 +165,14 @@ def _fmt(value, spec: str) -> str:
     if value is None:
         return "-"
     return format(value, spec)
+
+
+def _final_fit_line(fit) -> str:
+    f = fit.summary()
+    return (
+        f"final fit: G2={f['G2']:.4f} df={f['df']} p={f['p_value']:.4f} "
+        f"AIC={f['AIC']:.2f} BIC={f['BIC']:.2f} converged={f['converged']}"
+    )
 
 
 def _fit_columns(fit) -> list[str]:
@@ -361,44 +372,39 @@ def _search_text(trace, run: dict) -> str:
 
     lines.append("")
     lines.append("step 1: single-link removals")
-    rows = []
-    for e in trace.step1:
-        cells = [_link_text(e["link"])] + _fit_columns(e["fit"])
-        cells.append(e["error"] or "; ".join(e["statements"]))
-        rows.append(cells)
+    rows = [
+        [_link_text(link)] + _fit_columns(c.fit) + [c.error or "; ".join(c.statements)]
+        for link, c in trace.step1
+    ]
     lines += _table_lines(["removed link"] + stats + ["statement set"], rows)
 
     lines.append("")
     lines.append("step 2: joint removal and single restorations")
-    removable = trace.step2["removable"]
     lines.append(
-        "removable: " + (", ".join(_link_text(l) for l in removable) or "(none)")
+        "removable: "
+        + (", ".join(_link_text(l) for l in trace.removable) or "(none)")
     )
     rows = []
-    for c in trace.step2["candidates"]:
-        if c["restored"] is None:
+    for restored, c in trace.step2:
+        if restored is None:
             label = "all removable dropped"
-        elif c["restored"] == "all":
+        elif restored == "all":
             label = "skeleton kept (no candidate passed)"
         else:
-            label = "restore " + _link_text(c["restored"])
-        graph = parse_graph(c["graph"])
-        stmts = "; ".join(
-            render_statement(s) for s in stratified_markov(graph, trace.variables)
-        )
-        rows.append([label] + _fit_columns(c["fit"]) + [c["error"] or stmts])
+            label = "restore " + _link_text(restored)
+        rows.append([label] + _fit_columns(c.fit) + [c.error or "; ".join(c.statements)])
     lines += _table_lines(["candidate"] + stats + ["statement set"], rows)
-    lines += _graph_block("selected", trace.step2["selected"])
+    lines += _graph_block("selected", render_graph(trace.step2[trace.selected][1].graph))
 
     lines.append("")
     lines.append("step 3: context-specific weakenings of the remaining links")
     if not trace.step3:
         lines.append("(no links to revisit)")
-    for e in trace.step3:
-        lines.append(f"link {_link_text(e['link'])} ({e['source'].replace('_', ' ')}):")
+    for link, source, tried, chosen in trace.step3:
+        lines.append(f"link {_link_text(link)} ({source.replace('_', ' ')}):")
         rows = [
-            [c["stratum"]] + _fit_columns(c["fit"]) + [c["error"] or ""]
-            for c in e["candidates"]
+            [render_stratum(st)] + _fit_columns(c.fit) + [c.error or ""]
+            for st, c in tried
         ]
         if rows:
             lines += [
@@ -407,18 +413,14 @@ def _search_text(trace, run: dict) -> str:
             ]
         else:
             lines.append("  (no admissible stratum candidates)")
-        lines.append(f"  chosen: {e['chosen'] or '(none)'}")
+        chosen_text = "(none)" if chosen is None else render_stratum(tried[chosen][0])
+        lines.append(f"  chosen: {chosen_text}")
 
     lines.append("")
     lines += _graph_block("final graph", render_graph(trace.final_graph))
     lines.append("final statements:")
-    for s in stratified_markov(trace.final_graph, trace.variables):
-        lines.append(f"  {render_statement(validate_statement(s, trace.variables))}")
-    f = trace.final_fit.summary()
-    lines.append(
-        f"final fit: G2={f['G2']:.4f} df={f['df']} p={f['p_value']:.4f} "
-        f"AIC={f['AIC']:.2f} BIC={f['BIC']:.2f} converged={f['converged']}"
-    )
+    lines += [f"  {s}" for s in trace.final.statements]
+    lines.append(_final_fit_line(trace.final_fit))
     return "\n".join(lines) + "\n"
 
 
@@ -445,13 +447,9 @@ def cmd_search(args) -> int:
     )
     (out / "search.txt").write_text(_search_text(trace, run), encoding="utf-8")
 
-    f = trace.final_fit.summary()
     for line in _graph_block("final graph", render_graph(trace.final_graph)):
         print(line)
-    print(
-        f"final fit: G2={f['G2']:.4f} df={f['df']} p={f['p_value']:.4f} "
-        f"AIC={f['AIC']:.2f} BIC={f['BIC']:.2f} converged={f['converged']}"
-    )
+    print(_final_fit_line(trace.final_fit))
     print(f"wrote {out / 'search.json'}")
     print(f"wrote {out / 'search.txt'}")
     if not trace.final_fit.converged:

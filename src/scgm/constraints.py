@@ -24,7 +24,13 @@ import numpy as np
 
 from .errors import StatementError, UnsupportedCodingError
 from .params import ParamIndex, param_index, param_values
-from .tables import ProbabilityVector, VariableSpec, probability_vector, subset_in_order, variable_names
+from .tables import (
+    ProbabilityVector,
+    VariableSpec,
+    probability_vector,
+    variable_names,
+    variables_to_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +40,6 @@ from .tables import ProbabilityVector, VariableSpec, probability_vector, subset_
 class CellListContext:
     cells: tuple
 
-    def kind(self):
-        return "cells"
-
 
 @dataclass(frozen=True)
 class PatternContext:
@@ -44,17 +47,11 @@ class PatternContext:
 
     pattern: tuple
 
-    def kind(self):
-        return "pattern"
-
 
 @dataclass(frozen=True)
 class ThresholdContext:
     bound: tuple
     direction: str  # "geq" or "leq"
-
-    def kind(self):
-        return self.direction
 
 
 @dataclass(frozen=True)
@@ -653,10 +650,7 @@ def system_to_json(system: ConstraintSystem) -> dict:
     return {
         "schema": "scgm-constraints/1",
         "origin": system.origin,
-        "variables": [
-            {"name": s.name, "cardinality": s.cardinality, "coding": s.coding}
-            for s in system.variables
-        ],
+        "variables": variables_to_json(system.variables),
         "pre_dedup_count": system.pre_dedup_count,
         "rows": [
             {

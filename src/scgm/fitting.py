@@ -37,6 +37,13 @@ link, remove everything individually removable and reintroduce links one
 at a time, then try context-specific relaxations of the independencies
 that were rejected.  Selection filters candidates by p-value and ranks by
 an information criterion; both directions of the criterion are supported.
+Every graph the search fits becomes one ``Candidate`` record: the graph,
+its fit summary or the error that stopped the fit, and its statements,
+rendered in table order on first read.  Selection, ``trace_to_json`` and
+the CLI's text trace all read these records.  A record keeps the summary,
+not the ``FitResult``: holding every candidate's estimates raised the
+peak memory of a 108-fit search on 128 cells from 34.5 to 36.7 MB, so
+the final graph is fitted once more, with the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -45,23 +52,25 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .constraints import ConstraintSystem
+from .constraints import ConstraintSystem, render_statement, validate_statement
 from .errors import InfeasibleSystemError, ScgmError, StatementError, ZeroMassSliceError
 from .graphs import (
     Stratum,
     StratifiedChainGraph,
     parents_of_component,
     render_graph,
+    render_stratum,
     stratified_markov,
     validate,
 )
 # param_value is re-exported: callers wrap it under this module's name
 from .params import event_table, param_value  # noqa: F401
 from .regression import scgm_constraint_system
-from .tables import ContingencyTable, ProbabilityVector
+from .tables import ContingencyTable, ProbabilityVector, variables_to_json
 
 AIC_FORMULA = "AIC = G2 - 2*(n_cells - df)"
 BIC_FORMULA = "BIC = G2 - ln(N)*(n_cells - df)"
@@ -483,10 +492,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
 def fit_to_json(result: FitResult, system: ConstraintSystem | None = None) -> dict:
     out = {
         "schema": "scgm-fit/1",
-        "variables": [
-            {"name": s.name, "cardinality": s.cardinality, "coding": s.coding}
-            for s in result.pi_hat.variables
-        ],
+        "variables": variables_to_json(result.pi_hat.variables),
         "N": result.N,
         "n_cells": result.n_cells,
         "G2": result.G2,
@@ -520,18 +526,56 @@ def fit_to_json(result: FitResult, system: ConstraintSystem | None = None) -> di
 # model search
 
 @dataclass(frozen=True)
+class Candidate:
+    """One graph the search fitted: its fit summary, or why the fit failed."""
+
+    graph: StratifiedChainGraph
+    variables: tuple
+    fit: dict | None
+    error: str | None
+
+    @cached_property
+    def statements(self) -> tuple:
+        """The graph's independencies, validated and rendered in table order."""
+        return tuple(
+            render_statement(validate_statement(s, self.variables))
+            for s in stratified_markov(self.graph, self.variables)
+        )
+
+    def passes(self, alpha) -> bool:
+        return self.fit is not None and self.fit["p_value"] > alpha
+
+
+@dataclass(frozen=True)
 class SearchTrace:
-    """Everything the three-step search looked at, in evaluation order."""
+    """Everything the three-step search looked at, in evaluation order.
+
+    ``step1`` holds (link, candidate) per skeleton link; ``step2`` holds
+    (restored, candidate), restored being None for the joint removal, a
+    link, or "all" for the skeleton fallback, and ``selected`` is the
+    position of the chosen one; ``step3`` holds (link, source,
+    ((stratum, candidate), ...), chosen position or None) per revisited
+    link.  ``final_fit`` is the full fit of ``final``'s graph.
+    """
 
     variables: tuple
     skeleton: StratifiedChainGraph
     criterion: str
     alpha: float
     step1: tuple
-    step2: dict
+    step2: tuple
+    selected: int
     step3: tuple
-    final_graph: StratifiedChainGraph
+    final: Candidate
     final_fit: FitResult
+
+    @property
+    def removable(self) -> tuple:
+        return tuple(r for r, _ in self.step2 if isinstance(r, tuple))
+
+    @property
+    def final_graph(self) -> StratifiedChainGraph:
+        return self.final.graph
 
 
 def _links(graph):
@@ -547,46 +591,24 @@ def _without_link(graph, link):
     return replace(graph, arcs=tuple(a for a in graph.arcs if a != (u, v)))
 
 
-def _with_stratum(graph, stratum):
-    return replace(graph, strata=graph.strata + (stratum,))
-
-
-def _fit_graph(graph, table, options):
-    system = scgm_constraint_system(graph, table.variables)
-    result = fit_constrained(table, system, options)
-    return system, result
-
-
-def _statement_lines(graph, variables):
-    from .constraints import render_statement, validate_statement
-
-    return [
-        render_statement(validate_statement(s, variables))
-        for s in stratified_markov(graph, variables)
-    ]
+def _evaluate(graph, table, options) -> Candidate:
+    """Fit one candidate; a failing fit is recorded in the candidate, not raised."""
+    try:
+        system = scgm_constraint_system(graph, table.variables)
+        fit = fit_constrained(table, system, options).summary()
+    except (ScgmError, np.linalg.LinAlgError, ValueError) as exc:
+        return Candidate(graph, table.variables, None, f"{type(exc).__name__}: {exc}")
+    return Candidate(graph, table.variables, fit, None)
 
 
 def _pick(candidates, criterion, alpha):
     """Index of the best candidate: p-filter first, then the criterion."""
-    passing = [
-        i
-        for i, c in enumerate(candidates)
-        if c.get("fit") is not None and c["fit"]["p_value"] > alpha
-    ]
+    passing = [i for i, c in enumerate(candidates) if c.passes(alpha)]
     if not passing:
         return None
     if criterion == "min-aic":
-        return min(passing, key=lambda i: (candidates[i]["fit"]["AIC"], i))
-    return max(passing, key=lambda i: (candidates[i]["fit"]["AIC"], -i))
-
-
-def _fit_entry(graph, table, options):
-    try:
-        _, result = _fit_graph(graph, table, options)
-        return result.summary(), None
-    except (ScgmError, np.linalg.LinAlgError, ValueError) as exc:
-        # recorded, not fatal: a failing candidate stays in the trace
-        return None, f"{type(exc).__name__}: {exc}"
+        return min(passing, key=lambda i: (candidates[i].fit["AIC"], i))
+    return max(passing, key=lambda i: (candidates[i].fit["AIC"], -i))
 
 
 def _stratum_candidates(graph, link, variables):
@@ -597,24 +619,18 @@ def _stratum_candidates(graph, link, variables):
     cover every context cell are skipped (they equal the plain absence).
     """
     kind, u, v = link
-    membership = {}
-    for name, members in graph.components:
-        for m in members:
-            membership[m] = name
     spec_by = {s.name: s for s in variables}
-
     pair = (u, v) if kind == "edge" else (v, u)
-    stripped = _strip_link(graph, pair, kind)
+    stripped = _without_link(graph, link)
     if kind == "edge":
-        comp = membership[u]
-        scope = parents_of_component(stripped, comp)
+        scope = parents_of_component(stripped, graph.component_of(u))
     else:
-        comp = membership[v]
-        if u not in parents_of_component(stripped, comp):
+        parents = parents_of_component(stripped, graph.component_of(v))
+        if u not in parents:
             # that was the sole arc from the parent component: without it
             # the pair has no parent relation, so no stratified form exists
             return []
-        scope = tuple(w for w in parents_of_component(stripped, comp) if w != u)
+        scope = tuple(w for w in parents if w != u)
     if not scope:
         return []
 
@@ -644,22 +660,11 @@ def _stratum_candidates(graph, link, variables):
 
     keep = []
     for st in out:
-        candidate = _with_stratum(stripped, st)
+        candidate = replace(stripped, strata=stripped.strata + (st,))
         if validate(candidate, variables):
             continue
         keep.append((st, candidate))
     return keep
-
-
-def _strip_link(graph, pair, kind):
-    if kind == "edge":
-        u, v = pair
-        return replace(
-            graph,
-            edges=tuple(e for e in graph.edges if set(e) != {u, v}),
-        )
-    v, u = pair  # pair is (child, parent) for arcs
-    return replace(graph, arcs=tuple(a for a in graph.arcs if a != (u, v)))
 
 
 def model_search(
@@ -678,6 +683,8 @@ def model_search(
     independence that was rejected, singly or jointly, and tries its
     admissible context-specific weakenings on top of the selected model.
     The search itself is deterministic; all randomness lives in the table.
+    A failing candidate fit is recorded; a failing fit of the final graph
+    raises.
     """
     if criterion not in ("max-aic", "min-aic"):
         raise StatementError(f"unknown selection criterion {criterion!r}")
@@ -690,174 +697,97 @@ def model_search(
         raise StatementError("; ".join(problems))
 
     links = _links(skeleton)
-
-    step1 = []
-    removable = []
-    rejected = []
-    for link in links:
-        g = _without_link(skeleton, link)
-        fit, error = _fit_entry(g, table, options)
-        entry = {
-            "link": link,
-            "statements": _statement_lines(g, variables),
-            "fit": fit,
-            "error": error,
-        }
-        step1.append(entry)
-        if fit is not None and fit["p_value"] > alpha:
-            removable.append(link)
-        else:
-            rejected.append(link)
-
-    reduced = skeleton
-    for link in removable:
-        reduced = _without_link(reduced, link)
-
-    step2_candidates = []
-    fit, error = _fit_entry(reduced, table, options)
-    step2_candidates.append(
-        {"restored": None, "graph": reduced, "fit": fit, "error": error}
+    step1 = tuple(
+        (link, _evaluate(_without_link(skeleton, link), table, options))
+        for link in links
     )
-    for link in removable:
-        g = skeleton
-        for other in removable:
-            if other != link:
-                g = _without_link(g, other)
-        fit, error = _fit_entry(g, table, options)
-        step2_candidates.append(
-            {"restored": link, "graph": g, "fit": fit, "error": error}
-        )
+    removable = [link for link, c in step1 if c.passes(alpha)]
 
-    pick = _pick(step2_candidates, criterion, alpha)
-    if pick is None:
+    # the joint removal (nothing restored), then each removable link restored
+    step2 = []
+    for restored in [None] + removable:
+        g = reduce(_without_link, [l for l in removable if l != restored], skeleton)
+        step2.append((restored, _evaluate(g, table, options)))
+    selected = _pick([c for _, c in step2], criterion, alpha)
+    if selected is None:
         # nothing fits acceptably; fall back to the skeleton itself
-        fit, error = _fit_entry(skeleton, table, options)
-        step2_candidates.append(
-            {"restored": "all", "graph": skeleton, "fit": fit, "error": error}
-        )
-        pick = len(step2_candidates) - 1
-    selected = step2_candidates[pick]["graph"]
-    restored = step2_candidates[pick]["restored"]
-
-    step2 = {
-        "removable": removable,
-        "candidates": [
-            {
-                "restored": c["restored"],
-                "graph": render_graph(c["graph"]),
-                "fit": c["fit"],
-                "error": c["error"],
-            }
-            for c in step2_candidates
-        ],
-        "selected": render_graph(selected),
-    }
+        step2.append(("all", _evaluate(skeleton, table, options)))
+        selected = len(step2) - 1
+    base = step2[selected][1]
 
     # links whose plain independence was rejected: singly (step 1) or by
     # not surviving the joint selection (removable but still present)
-    selected_links = set(_links(selected))
-    revisit = [l for l in links if l in selected_links]
-
+    selected_links = set(_links(base.graph))
     step3 = []
-    base = selected
-    for link in revisit:
-        source = "single_removal_rejected" if link in rejected else "not_retained_jointly"
-        candidates = []
-        for st, g in _stratum_candidates(base, link, variables):
-            fit, error = _fit_entry(g, table, options)
-            candidates.append(
-                {"stratum": st, "graph": g, "fit": fit, "error": error}
-            )
-        pick = _pick(candidates, criterion, alpha)
-        chosen = None
-        if pick is not None:
-            chosen = candidates[pick]["stratum"]
-            base = candidates[pick]["graph"]
-        step3.append(
-            {
-                "link": link,
-                "source": source,
-                "candidates": [
-                    {
-                        "stratum": _stratum_text(c["stratum"]),
-                        "fit": c["fit"],
-                        "error": c["error"],
-                    }
-                    for c in candidates
-                ],
-                "chosen": _stratum_text(chosen) if chosen else None,
-            }
+    for link in (l for l in links if l in selected_links):
+        source = (
+            "not_retained_jointly" if link in removable else "single_removal_rejected"
         )
+        tried = tuple(
+            (st, _evaluate(g, table, options))
+            for st, g in _stratum_candidates(base.graph, link, variables)
+        )
+        chosen = _pick([c for _, c in tried], criterion, alpha)
+        if chosen is not None:
+            base = tried[chosen][1]
+        step3.append((link, source, tried, chosen))
 
-    _, final_fit = _fit_graph(base, table, options)
+    # the final graph is fitted again rather than kept from its candidate
+    # fit: the search holds only summaries, so memory stays flat
+    final_fit = fit_constrained(
+        table, scgm_constraint_system(base.graph, variables), options
+    )
     return SearchTrace(
         variables=variables,
         skeleton=skeleton,
         criterion=criterion,
         alpha=alpha,
-        step1=tuple(step1),
-        step2=step2,
+        step1=step1,
+        step2=tuple(step2),
+        selected=selected,
         step3=tuple(step3),
-        final_graph=base,
+        final=base,
         final_fit=final_fit,
     )
 
 
-def _stratum_text(st: Stratum | None) -> str | None:
-    if st is None:
-        return None
-    rows = ",".join(
-        "(" + ",".join("*" if x is None else str(x) for x in row) + ")"
-        for row in st.patterns
-    )
-    return (
-        f"stratum ({st.pair[0]},{st.pair[1]}) | "
-        f"{{{','.join(st.given)}}} = {{{rows}}}"
-    )
+def _candidate_json(candidate, **head):
+    return {**head, "fit": candidate.fit, "error": candidate.error}
 
 
 def trace_to_json(trace: SearchTrace) -> dict:
     return {
         "schema": "scgm-trace/1",
-        "variables": [
-            {"name": s.name, "cardinality": s.cardinality, "coding": s.coding}
-            for s in trace.variables
-        ],
+        "variables": variables_to_json(trace.variables),
         "criterion": trace.criterion,
         "alpha": trace.alpha,
         "skeleton": render_graph(trace.skeleton),
         "step1": [
-            {
-                "link": list(e["link"]),
-                "statements": e["statements"],
-                "fit": e["fit"],
-                "error": e["error"],
-            }
-            for e in trace.step1
+            _candidate_json(c, link=list(link), statements=list(c.statements))
+            for link, c in trace.step1
         ],
         "step2": {
-            "removable": [list(l) for l in trace.step2["removable"]],
+            "removable": [list(l) for l in trace.removable],
             "candidates": [
-                {
-                    "restored": list(c["restored"])
-                    if isinstance(c["restored"], tuple)
-                    else c["restored"],
-                    "graph": c["graph"],
-                    "fit": c["fit"],
-                    "error": c["error"],
-                }
-                for c in trace.step2["candidates"]
+                _candidate_json(
+                    c,
+                    restored=list(r) if isinstance(r, tuple) else r,
+                    graph=render_graph(c.graph),
+                )
+                for r, c in trace.step2
             ],
-            "selected": trace.step2["selected"],
+            "selected": render_graph(trace.step2[trace.selected][1].graph),
         },
         "step3": [
             {
-                "link": list(e["link"]),
-                "source": e["source"],
-                "candidates": e["candidates"],
-                "chosen": e["chosen"],
+                "link": list(link),
+                "source": source,
+                "candidates": [
+                    _candidate_json(c, stratum=render_stratum(st)) for st, c in tried
+                ],
+                "chosen": None if chosen is None else render_stratum(tried[chosen][0]),
             }
-            for e in trace.step3
+            for link, source, tried, chosen in trace.step3
         ],
         "final_graph": render_graph(trace.final_graph),
         "final_fit": fit_to_json(trace.final_fit),

@@ -44,20 +44,11 @@ class StratifiedChainGraph:
     arcs: tuple  # directed (tail, head)
     strata: tuple
 
-    def component_names(self):
-        return tuple(name for name, _ in self.components)
-
     def component_of(self, vertex):
         for name, members in self.components:
             if vertex in members:
                 return name
         raise GraphFormatError(f"vertex {vertex!r} is in no component")
-
-    def members(self, component_name):
-        for name, members in self.components:
-            if name == component_name:
-                return members
-        raise GraphFormatError(f"unknown component {component_name!r}")
 
 
 def _order(graph, names):
@@ -633,15 +624,17 @@ def render_graph(graph: StratifiedChainGraph) -> str:
         lines.append(f"edge {u} -- {v}")
     for u, v in graph.arcs:
         lines.append(f"arc {u} -> {v}")
-    for s in graph.strata:
-        rows = ",".join(
-            "(" + ",".join("*" if lvl is None else str(lvl) for lvl in p) + ")"
-            for p in s.patterns
-        )
-        lines.append(
-            f"stratum ({s.pair[0]},{s.pair[1]}) | {{{','.join(s.given)}}} = {{{rows}}}"
-        )
+    lines += [render_stratum(s) for s in graph.strata]
     return "\n".join(lines) + "\n"
+
+
+def render_stratum(s: Stratum) -> str:
+    """The stratum's line of a graph spec."""
+    rows = ",".join(
+        "(" + ",".join("*" if lvl is None else str(lvl) for lvl in p) + ")"
+        for p in s.patterns
+    )
+    return f"stratum ({s.pair[0]},{s.pair[1]}) | {{{','.join(s.given)}}} = {{{rows}}}"
 
 
 def graph_to_json(graph: StratifiedChainGraph) -> dict:

@@ -49,12 +49,11 @@ from .graphs import (
 )
 from .params import (
     EffectAllocation,
-    ParamIndex,
     ParamVector,
     allocate_effects,
     param_index,
 )
-from .tables import variable_names
+from .tables import variable_names, variables_to_json
 
 
 @dataclass(frozen=True)
@@ -430,10 +429,7 @@ def regression_report(system: RegressionSystem) -> dict:
         )
     return {
         "schema": "scgm-report/1",
-        "variables": [
-            {"name": s.name, "cardinality": s.cardinality, "coding": s.coding}
-            for s in system.variables
-        ],
+        "variables": variables_to_json(system.variables),
         "standard_response_codings": system.standard_response_codings,
         "components": comps,
         "mixed": [

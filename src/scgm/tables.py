@@ -74,6 +74,14 @@ def variable_names(variables: tuple[VariableSpec, ...]) -> tuple[str, ...]:
     return tuple(v.name for v in variables)
 
 
+def variables_to_json(variables: tuple[VariableSpec, ...]) -> list[dict]:
+    """Name, cardinality and coding of each variable, as output files list them."""
+    return [
+        {"name": v.name, "cardinality": v.cardinality, "coding": v.coding}
+        for v in variables
+    ]
+
+
 def subset_in_order(
     variables: tuple[VariableSpec, ...], names: tuple[str, ...] | frozenset[str]
 ) -> tuple[VariableSpec, ...]:

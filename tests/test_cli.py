@@ -14,6 +14,8 @@ import pytest
 
 from scgm import ContingencyTable, VariableSpec, dump_table
 from scgm.cli import main
+from scgm.constraints import render_statement, validate_statement
+from scgm.graphs import parse_graph, stratified_markov
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -274,6 +276,55 @@ def test_search_reruns_byte_identically(workdir, capsys):
     again = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert first == again
     assert set(first) == {"search.json", "search.txt"}
+
+
+def test_search_json_matches_the_golden_trace(workdir, capsys):
+    out_dir = workdir / "search-golden"
+    assert main(
+        ["search", "--table", str(workdir / "chain.csv"),
+         "--graph", str(workdir / "complete.graph"), "--out", str(out_dir)]
+    ) == 0
+    trace = json.loads((out_dir / "search.json").read_text(encoding="utf-8"))
+    del trace["run"]
+    text = json.dumps(trace, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "search_chain3.json").read_text(encoding="utf-8")
+
+
+def test_search_text_renders_step2_statements_in_table_order(tmp_path, capsys):
+    # 4 depends on 1 alone; the skeleton declares 3 before 1 and 2, so its
+    # statements list vertices out of table order until validated
+    vs = tuple(VariableSpec(str(i), 2) for i in range(1, 5))
+    p123 = np.array([0.25, 0.05, 0.08, 0.12, 0.06, 0.14, 0.04, 0.26])
+    p4g1 = np.array([[0.7, 0.3], [0.2, 0.8]])
+    counts = [
+        4000 * p123[i] * p4g1[i // 4, i4] for i in range(8) for i4 in range(2)
+    ]
+    (tmp_path / "t.csv").write_text(dump_table(ContingencyTable(vs, counts)))
+    (tmp_path / "s.graph").write_text(
+        "component T1 = {3,1,2}\ncomponent T2 = {4}\n"
+        "edge 3 -- 1\nedge 3 -- 2\nedge 1 -- 2\n"
+        "arc 3 -> 4\narc 1 -> 4\narc 2 -> 4\n"
+    )
+    out_dir = tmp_path / "o"
+    assert main(
+        ["search", "--table", str(tmp_path / "t.csv"),
+         "--graph", str(tmp_path / "s.graph"), "--out", str(out_dir)]
+    ) == 0
+    trace = json.loads((out_dir / "search.json").read_text(encoding="utf-8"))
+    assert trace["step2"]["removable"] == [["arc", "3", "4"], ["arc", "2", "4"]]
+    expected = [
+        "; ".join(
+            render_statement(validate_statement(s, vs))
+            for s in stratified_markov(parse_graph(c["graph"]), vs)
+        )
+        for c in trace["step2"]["candidates"]
+    ]
+    assert expected[0] == "CI: {4} _||_ {2,3} | {1}"
+    lines = (out_dir / "search.txt").read_text(encoding="utf-8").splitlines()
+    header = lines.index("step 2: joint removal and single restorations")
+    rows = lines[header + 3 : header + 3 + len(expected)]
+    for row, statements in zip(rows, expected):
+        assert row.endswith("  " + statements)
 
 
 def test_search_rejects_a_skeleton_with_strata(workdir, tmp_path, capsys):

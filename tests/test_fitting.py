@@ -1,6 +1,7 @@
 """Tests for constrained fitting, the chi-square tail, and model search."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from scgm.cli import RunConfig, _search_text
 from scgm.constraints import constraints_conditional, generate_constraints, parse_statement
 from scgm.errors import StatementError, ZeroMassSliceError
 from scgm.fitting import (
@@ -26,7 +28,7 @@ from scgm.fitting import (
     model_search,
     trace_to_json,
 )
-from scgm.graphs import Stratum, load_graph, parse_graph, stratified_markov
+from scgm.graphs import Stratum, load_graph, parse_graph, render_graph, stratified_markov
 from scgm.oracle import random_positive
 from scgm.params import param_value
 from scgm.regression import scgm_constraint_system
@@ -286,7 +288,7 @@ def table_first_source_irrelevant():
 
 def test_search_recovers_a_plain_missing_arc():
     trace = model_search(table_first_source_irrelevant(), CHAIN3)
-    assert trace.step2["removable"] == [("arc", "1", "3")]
+    assert trace_to_json(trace)["step2"]["removable"] == [["arc", "1", "3"]]
     assert trace.final_graph.arcs == (("1", "2"), ("2", "3"))
     assert trace.final_graph.strata == ()
     assert trace.final_fit.converged
@@ -296,7 +298,8 @@ def test_search_recovers_a_plain_missing_arc():
 def test_min_aic_criterion_changes_the_selection():
     # with min-aic the saturated add-back (AIC -2K) beats the reduced model
     trace = model_search(table_first_source_irrelevant(), CHAIN3, criterion="min-aic")
-    assert trace.step2["selected"] == trace.step2["candidates"][1]["graph"]
+    step2 = trace_to_json(trace)["step2"]
+    assert step2["selected"] == step2["candidates"][1]["graph"]
     assert trace.final_graph.arcs == CHAIN3.arcs
 
 
@@ -354,26 +357,52 @@ def statement_keys(graph, vs):
 
 def test_search_recovers_a_context_specific_absence():
     trace = model_search(table_with_context_specific_absence(), SKEL4)
-    assert trace.step2["removable"] == []
+    doc = trace_to_json(trace)
+    assert doc["step2"]["removable"] == []
     assert statement_keys(trace.final_graph, V4) == statement_keys(PLANTED4, V4)
-    entry = next(e for e in trace.step3 if e["link"] == ("arc", "2", "3"))
+    entry = next(e for e in doc["step3"] if e["link"] == ["arc", "2", "3"])
     assert entry["chosen"] == "stratum (3,2) | {1} = {(1)}"
 
 
-def test_search_keeps_a_saturated_skeleton_intact():
-    # strong interactions of every order: nothing is removable, no context
-    # turns any dependence off
+def table_with_saturated_interactions():
+    # strong interactions of every order
     x = {1: 1.0, 2: -1.0}
     probs = []
     for i1, i2, i3 in itertools.product((1, 2), repeat=3):
         s = 1.2 * (x[i1] * x[i2] + x[i1] * x[i3] + x[i2] * x[i3])
         s += 0.9 * x[i1] * x[i2] * x[i3]
         probs.append(math.exp(s))
-    table = ContingencyTable(V3, 8000.0 * np.array(probs) / sum(probs))
+    return ContingencyTable(V3, 8000.0 * np.array(probs) / sum(probs))
+
+
+def test_search_keeps_a_saturated_skeleton_intact():
+    # nothing is removable, no context turns any dependence off
+    table = table_with_saturated_interactions()
     trace = model_search(table, CHAIN3)
-    assert trace.step2["removable"] == []
+    doc = trace_to_json(trace)
+    assert doc["step2"]["removable"] == []
     assert trace.final_graph == CHAIN3
-    assert all(e["chosen"] is None for e in trace.step3)
+    assert all(e["chosen"] is None for e in doc["step3"])
+
+
+def test_search_falls_back_to_the_skeleton_when_no_candidate_passes():
+    # without arc 1 -> 3 the skeleton misses a strong dependence: the joint
+    # removal (the skeleton itself) fails the p-filter, so does the fallback
+    skeleton = replace(CHAIN3, arcs=(("1", "2"), ("2", "3")))
+    trace = model_search(table_with_saturated_interactions(), skeleton)
+    step2 = trace_to_json(trace)["step2"]
+    assert [c["restored"] for c in step2["candidates"]] == [None, "all"]
+    assert all(c["fit"]["p_value"] < 1e-100 for c in step2["candidates"])
+    assert step2["selected"] == render_graph(skeleton)
+    assert trace.final_graph == skeleton
+    text = _search_text(trace, RunConfig(command="search").run_block())
+    assert "\nskeleton kept (no candidate passed)  " in text
+
+
+def test_search_json_matches_the_golden_trace():
+    trace = model_search(table_with_context_specific_absence(), SKEL4)
+    text = json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "search_skel4.json").read_text(encoding="utf-8")
 
 
 def test_search_trace_is_deterministic_and_refits():
