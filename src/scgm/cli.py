@@ -289,8 +289,7 @@ def cmd_constraints(args) -> int:
             return _reject(problems)
         system = scgm_constraint_system(graph, variables)
     else:
-        stmt = validate_statement(parse_statement(args.statement), variables)
-        system = generate_constraints(stmt, variables)
+        system = generate_constraints(parse_statement(args.statement), variables)
     run = config.run_block()
     text = _dump_json(system_to_json(system), run)
     if args.out:

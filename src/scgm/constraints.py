@@ -1,13 +1,19 @@
 """Translate independence statements into linear constraints on parameters.
 
-A context-specific statement "A independent of B given C at these context
-cells" becomes, per context cell, one signed row per straddling effect and
-effect cell.  The shape of the inner terms depends on how each context
-variable is coded: a baseline-coded variable pins its context coordinate
-(top levels drop out by nullity), a local-coded one contributes the
-lattice sum of parameters at or above the context coordinate.  Threshold
-contexts admit a much simpler description: the parameters indexed inside
-the threshold region vanish one by one.
+generate_constraints is the one entry point.  It validates a statement,
+picks the margin its rows sit on and builds one of three row shapes:
+
+* plain independence: every parameter of an effect straddling both sides,
+  widened by any subset of the conditioning set, vanishes; any coding.
+* context cells (a cell list or an asterisk pattern): per context cell, one
+  signed row per straddling effect and effect cell, alternating over
+  subsets of the conditioning set.  Each conditioning variable is baseline
+  (pins its context coordinate; top levels drop out by nullity) or local
+  (contributes the lattice sum at or above it).
+* thresholds: inside an upper threshold (>=) the region's parameters vanish
+  one by one, which needs local or continuation conditioning variables.  A
+  lower threshold (<=) is an upper one on reversed scales, so it needs
+  local or reverse-continuation ones.
 
 Rows are emitted deterministically (effect, effect cell, context cell) and
 deduplicated up to a global sign; the count before deduplication is kept
@@ -136,9 +142,6 @@ def context_cells(stmt: Statement, variables):
     """Explicit tuple of context cells for list, pattern and threshold forms."""
     spec_by = {s.name: s for s in variables}
     ctx = stmt.context
-    if ctx is None:
-        ranges = [range(1, spec_by[n].cardinality + 1) for n in stmt.given]
-        return tuple(itertools.product(*ranges))
     if isinstance(ctx, CellListContext):
         return ctx.cells
     if isinstance(ctx, PatternContext):
@@ -363,35 +366,20 @@ def merge_systems(variables, systems, origin=""):
     return ConstraintSystem(tuple(variables), _dedup(rows), pre, origin)
 
 
-def interaction_sets(A, B, version="straddling"):
-    """Effects through which an independence of A and B expresses itself.
-
-    ``straddling`` (default): every union of a nonempty subset of A and a
-    nonempty subset of B.  ``sided``: every nonempty subset of A or of B
-    taken alone, kept for comparison pipelines.
-    """
+def interaction_sets(A, B):
+    """Effects through which an independence of A and B expresses itself:
+    every union of a nonempty subset of A and a nonempty subset of B."""
     A = tuple(A)
     B = tuple(B)
     if not A or not B or set(A) & set(B):
         raise StatementError("independence sides must be nonempty and disjoint")
     out = []
-    if version == "straddling":
-        for ra in range(1, len(A) + 1):
-            for a in itertools.combinations(A, ra):
-                for rb in range(1, len(B) + 1):
-                    for b in itertools.combinations(B, rb):
-                        out.append(tuple(a + b))
-    elif version == "sided":
-        for side in (A, B):
-            for r in range(1, len(side) + 1):
-                out.extend(itertools.combinations(side, r))
-    else:
-        raise StatementError(f"unknown interaction-set version {version!r}")
+    for ra in range(1, len(A) + 1):
+        for a in itertools.combinations(A, ra):
+            for rb in range(1, len(B) + 1):
+                for b in itertools.combinations(B, rb):
+                    out.append(tuple(a + b))
     return out
-
-
-def _sorted_effects(effects, names):
-    return sorted(effects, key=lambda e: (len(e), tuple(names.index(v) for v in e)))
 
 
 def _effect_cells(variables, effect):
@@ -442,65 +430,6 @@ def _inner_context_terms(spec_by, c_vars, kcell_map):
     return cells
 
 
-def context_cell_rows(stmt, variables, alloc=None, version="straddling") -> ConstraintSystem:
-    """Signed constraint rows for list or pattern contexts.
-
-    Implements the alternating sum over subsets of the conditioning set,
-    with the inner expansion dispatched per context-variable coding.
-    """
-    stmt = validate_statement(stmt, variables)
-    if isinstance(stmt.context, ThresholdContext):
-        raise StatementError("threshold contexts use threshold_rows")
-    spec_by = {s.name: s for s in variables}
-    names = variable_names(variables)
-    margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
-    kcells = context_cells(stmt, variables)
-    origin = render_statement(stmt)
-
-    C = stmt.given
-    rows = []
-    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs, version), names):
-        for i_v in _effect_cells(variables, v):
-            vmap = dict(zip(v, i_v))
-            for kcell in kcells:
-                kmap = dict(zip(C, kcell))
-                terms = []
-                for r in range(len(C) + 1):
-                    for c_vars in itertools.combinations(C, r):
-                        sign = -1 if (len(C) - r) % 2 else 1
-                        for inner in _inner_context_terms(spec_by, c_vars, kmap):
-                            cmap = dict(vmap)
-                            cmap.update(inner)
-                            idx = param_index(variables, margin, v + c_vars, cmap)
-                            terms.append(Term(idx, sign))
-                rows.append(Row(tuple(terms), origin))
-    return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
-
-
-def constraints_baseline(stmt, variables, alloc=None):
-    """Rows for baseline-coded conditioning variables (list/pattern context)."""
-    stmt = validate_statement(stmt, variables)
-    spec_by = {s.name: s for s in variables}
-    for n in stmt.given:
-        if spec_by[n].coding != "baseline":
-            raise UnsupportedCodingError(
-                f"baseline constraint generation requires baseline coding on {n!r}"
-            )
-    return context_cell_rows(stmt, variables, alloc)
-
-
-def constraints_local(stmt, variables, alloc=None):
-    """Rows for local-coded conditioning variables (list/pattern context)."""
-    stmt = validate_statement(stmt, variables)
-    spec_by = {s.name: s for s in variables}
-    for n in stmt.given:
-        if spec_by[n].coding != "local":
-            raise UnsupportedCodingError(
-                f"local constraint generation requires local coding on {n!r}"
-            )
-    return context_cell_rows(stmt, variables, alloc)
-
-
 def reverse_variable_levels(pv: ProbabilityVector, names) -> ProbabilityVector:
     """Flip the level order of the named variables (and swap their codings).
 
@@ -527,47 +456,28 @@ def reversed_context_specs(variables, names):
     return tuple(out)
 
 
-def threshold_rows(stmt, variables, alloc=None) -> ConstraintSystem:
-    """Single-term rows for threshold contexts.
-
-    Inside an upper threshold every parameter whose context coordinates sit
-    at or above the bound vanishes, together with the context-free effects.
-    Requires local or continuation coding on the conditioning set; a lower
-    threshold is normalized by reversing the conditioning scales first, and
-    the returned system's variables carry those reversed specs.
-    """
-    stmt = validate_statement(stmt, variables)
-    if not isinstance(stmt.context, ThresholdContext):
-        raise StatementError("threshold_rows needs a threshold context")
-    spec_by = {s.name: s for s in variables}
-
-    if stmt.context.direction == "leq":
-        rev = reversed_context_specs(variables, set(stmt.given))
-        bound = tuple(
-            spec_by[n].cardinality + 1 - b for n, b in zip(stmt.given, stmt.context.bound)
-        )
-        flipped = Statement(stmt.lhs, stmt.rhs, stmt.given, ThresholdContext(bound, "geq"))
-        inner = threshold_rows(flipped, rev, alloc)
-        origin = render_statement(stmt)
-        rows = tuple(Row(r.terms, origin) for r in inner.rows)
-        return ConstraintSystem(inner.variables, rows, inner.pre_dedup_count, origin)
-
-    for n in stmt.given:
-        coding = spec_by[n].coding
-        if coding not in ("local", "continuation"):
-            raise UnsupportedCodingError(
-                f"upper-threshold contexts need local or continuation coding on the "
-                f"conditioning set; {n!r} is {coding}"
-            )
-
+def _independence_terms(stmt, variables, margin, effects):
+    """Plain independence: every parameter of a straddling effect, widened
+    by any subset of the conditioning set, vanishes."""
     names = variable_names(variables)
-    margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
-    origin = render_statement(stmt)
     C = stmt.given
-    bound_by = dict(zip(C, stmt.context.bound))
+    for v in effects:
+        for r in range(len(C) + 1):
+            for c_vars in itertools.combinations(C, r):
+                effect = tuple(n for n in names if n in v + c_vars)
+                for cell in _effect_cells(variables, effect):
+                    idx = param_index(variables, margin, effect, dict(zip(effect, cell)))
+                    yield (Term(idx, 1),)
 
-    rows = []
-    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs), names):
+
+def _upper_threshold_terms(stmt, variables, margin, effects, bound):
+    """Inside an upper threshold every parameter whose context coordinates
+    sit at or above the bound vanishes, together with the context-free
+    effects."""
+    spec_by = {s.name: s for s in variables}
+    C = stmt.given
+    bound_by = dict(zip(C, bound))
+    for v in effects:
         for r in range(len(C) + 1):
             for c_vars in itertools.combinations(C, r):
                 c_ranges = [
@@ -579,47 +489,86 @@ def threshold_rows(stmt, variables, alloc=None) -> ConstraintSystem:
                         cmap = dict(vmap)
                         cmap.update(zip(c_vars, i_c))
                         idx = param_index(variables, margin, v + c_vars, cmap)
-                        rows.append(Row((Term(idx, 1),), origin))
-    sysvars = tuple(variables)
-    return ConstraintSystem(sysvars, _dedup(rows), len(rows), origin)
+                        yield (Term(idx, 1),)
 
 
-def constraints_conditional(lhs, rhs, given, variables, alloc=None):
-    """Zero constraints equivalent to plain conditional independence."""
-    stmt = validate_statement(Statement(tuple(lhs), tuple(rhs), tuple(given), None), variables)
-    names = variable_names(variables)
+def _context_cell_terms(stmt, variables, margin, effects):
+    """Signed rows for list or pattern contexts.
+
+    Implements the alternating sum over subsets of the conditioning set,
+    with the inner expansion dispatched per context-variable coding.
+    """
     spec_by = {s.name: s for s in variables}
-    margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
-    origin = render_statement(stmt)
-    rows = []
+    kcells = context_cells(stmt, variables)
     C = stmt.given
-    for v in _sorted_effects(interaction_sets(stmt.lhs, stmt.rhs), names):
-        for r in range(len(C) + 1):
-            for c_vars in itertools.combinations(C, r):
-                effect = tuple(n for n in names if n in v + c_vars)
-                for cell in _effect_cells(variables, effect):
-                    idx = param_index(variables, margin, effect, dict(zip(effect, cell)))
-                    rows.append(Row((Term(idx, 1),), origin))
-    return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
+    for v in effects:
+        for i_v in _effect_cells(variables, v):
+            vmap = dict(zip(v, i_v))
+            for kcell in kcells:
+                kmap = dict(zip(C, kcell))
+                terms = []
+                for r in range(len(C) + 1):
+                    for c_vars in itertools.combinations(C, r):
+                        sign = -1 if (len(C) - r) % 2 else 1
+                        for inner in _inner_context_terms(spec_by, c_vars, kmap):
+                            cmap = dict(vmap)
+                            cmap.update(inner)
+                            idx = param_index(variables, margin, v + c_vars, cmap)
+                            terms.append(Term(idx, sign))
+                yield tuple(terms)
 
 
-def generate_constraints(stmt, variables, alloc=None):
-    """Dispatch a statement to the appropriate generator."""
+def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
+    """Constraint rows of one independence statement.
+
+    The rows sit on the first marginal of ``alloc`` that contains the
+    statement's variables, or on exactly those variables without an
+    allocation.  A lower threshold is normalized by reversing the
+    conditioning scales first, and the returned system's variables carry
+    those reversed specs.
+    """
     stmt = validate_statement(stmt, variables)
-    if stmt.context is None:
-        return constraints_conditional(stmt.lhs, stmt.rhs, stmt.given, variables, alloc)
-    if isinstance(stmt.context, ThresholdContext):
-        return threshold_rows(stmt, variables, alloc)
-    return context_cell_rows(stmt, variables, alloc)
+    ctx = stmt.context
+    if isinstance(ctx, ThresholdContext):
+        spec_by = {s.name: s for s in variables}
+        bound = ctx.bound
+        if ctx.direction == "leq":
+            bound = tuple(spec_by[n].cardinality + 1 - b for n, b in zip(stmt.given, bound))
+            variables = reversed_context_specs(variables, set(stmt.given))
+            spec_by = {s.name: s for s in variables}
+        for n in stmt.given:
+            coding = spec_by[n].coding
+            if coding not in ("local", "continuation"):
+                raise UnsupportedCodingError(
+                    f"upper-threshold contexts need local or continuation coding on the "
+                    f"conditioning set; {n!r} is {coding}"
+                )
+
+    margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
+    names = variable_names(variables)
+    effects = sorted(
+        interaction_sets(stmt.lhs, stmt.rhs),
+        key=lambda e: (len(e), tuple(names.index(v) for v in e)),
+    )
+    if ctx is None:
+        terms = _independence_terms(stmt, variables, margin, effects)
+    elif isinstance(ctx, ThresholdContext):
+        terms = _upper_threshold_terms(stmt, variables, margin, effects, bound)
+    else:
+        terms = _context_cell_terms(stmt, variables, margin, effects)
+    origin = render_statement(stmt)
+    rows = [Row(t, origin) for t in terms]
+    return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
 
 
 def expected_constraint_count(stmt, variables) -> int:
     """Closed-form count of constraints for an explicit context list.
 
     One statement imposes (product of cardinalities over both independence
-    sides, minus one) constraints per context cell; the generated straddling
-    and sided families together realize exactly this count before
-    deduplication.
+    sides, minus one) constraints per context cell.  Per context cell, the
+    straddling effects that generate_constraints emits (before
+    deduplication) and the effects inside one side alone together have
+    exactly this many effect cells.
     """
     stmt = validate_statement(stmt, variables)
     if not isinstance(stmt.context, (CellListContext, PatternContext)):

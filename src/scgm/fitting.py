@@ -387,16 +387,16 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         pi = np.exp(z) / np.exp(z).sum()
         masses = compiled.A @ pi
         if np.any(masses <= 0):
-            return math.inf, None
+            return math.inf
         loglik = float(p_obs @ z) - log_norm
         h = compiled.C @ np.log(masses)
-        return -loglik + mu * float(np.abs(h).sum()), pi
+        return -loglik + mu * float(np.abs(h).sum())
 
     converged = False
     stalled = False
     iterations = 0
     kkt_residual = math.inf
-    best = None  # (feasibility, -loglik, x copy, lam copy)
+    best = None  # (feasibility, -loglik, x, lam); both arrays are only rebound
     stalls = 0
 
     for it in range(1, options.max_iterations + 1):
@@ -404,7 +404,8 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         z = x - x.max()
         pi = np.exp(z)
         pi /= pi.sum()
-        h = compiled.value(pi)
+        masses = compiled.A @ pi
+        h = compiled.C @ np.log(masses)
         B = _centred_jacobian(compiled, pi)
         J = B * pi[None, :]
         g = p_obs - pi
@@ -413,7 +414,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         kkt_residual = max(float(np.abs(stationarity).max()), feas)
 
         loglik = float(p_obs @ z) - math.log(np.exp(z).sum())
-        state = (feas, -loglik, x.copy(), lam.copy())
+        state = (feas, -loglik, x, lam)
         if best is None or (feas, -loglik) < (best[0], best[1]):
             best = state
 
@@ -426,11 +427,12 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         dx, lam_new = _projection_step(B, pi, g, h)
 
         mu = max(1.0, 2.0 * float(np.abs(lam_new).max(initial=0.0)))
-        phi0, _ = merit(x, mu)
+        # merit(x, mu) from this iteration's own values
+        phi0 = math.inf if np.any(masses <= 0) else -loglik + mu * float(np.abs(h).sum())
         alpha = 1.0
         accepted = False
         for _ in range(STEP_HALVING_MAX + 1):
-            phi_try, _ = merit(x + alpha * dx, mu)
+            phi_try = merit(x + alpha * dx, mu)
             if phi_try < phi0:
                 accepted = True
                 break
@@ -710,8 +712,10 @@ def model_search(
         step2.append((restored, _evaluate(g, table, options)))
     selected = _pick([c for _, c in step2], criterion, alpha)
     if selected is None:
-        # nothing fits acceptably; fall back to the skeleton itself
-        step2.append(("all", _evaluate(skeleton, table, options)))
+        # nothing fits acceptably; fall back to the skeleton itself, which
+        # the joint removal already fitted when no link was removable
+        skeleton_fit = step2[0][1] if not removable else _evaluate(skeleton, table, options)
+        step2.append(("all", skeleton_fit))
         selected = len(step2) - 1
     base = step2[selected][1]
 

@@ -60,10 +60,6 @@ def _edge_set(graph):
     return {frozenset(e) for e in graph.edges}
 
 
-def _stratum_pairs(graph):
-    return {frozenset(s.pair) for s in graph.strata}
-
-
 # ---------------------------------------------------------------------------
 # construction and validation
 

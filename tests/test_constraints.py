@@ -1,6 +1,8 @@
 """Constraint generation: frozen row sets, soundness, converse, counting."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,6 @@ from scgm.constraints import (
     PatternContext,
     Statement,
     ThresholdContext,
-    constraints_baseline,
-    constraints_conditional,
-    constraints_local,
-    context_cell_rows,
     context_cells,
     evaluate_system,
     expected_constraint_count,
@@ -27,11 +25,14 @@ from scgm.constraints import (
     statement_from_json,
     statement_to_json,
     system_to_json,
-    threshold_rows,
     validate_statement,
 )
 from scgm.errors import StatementError, UnsupportedCodingError
+from scgm.graphs import load_graph
+from scgm.regression import scgm_constraint_system
 from scgm.tables import VariableSpec, probability_vector
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def coefficient_matrix(systems):
@@ -85,7 +86,7 @@ def test_four_binary_baseline_single_context_cell():
     # one row with the familiar +/-/-/+ pattern over context subsets.
     vs = V((2, "baseline"), (2, "baseline"), (2, "baseline"), (2, "baseline"))
     stmt = Statement(("1",), ("2",), ("3", "4"), CellListContext(((1, 1),)))
-    sys_ = constraints_baseline(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert len(sys_.rows) == 1
     assert row_set(sys_) == {
         signed(
@@ -103,7 +104,7 @@ def test_baseline_context_with_top_coordinate_drops_terms():
     # eta_12(i) - eta_123(i,1) = 0 over the four sub-top cells of {1,2}.
     vs = V((3, "baseline"), (3, "baseline"), (3, "baseline"), (3, "baseline"))
     stmt = Statement(("1",), ("2",), ("3", "4"), CellListContext(((1, 3),)))
-    sys_ = constraints_baseline(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert len(sys_.rows) == 4
     expected = {
         signed(
@@ -121,7 +122,7 @@ def test_local_context_lattice_sum_row():
     # eta_123(1,1,2) + eta_123(1,1,3) - eta_12(1,1) = 0.
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"))
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((2,),)))
-    sys_ = constraints_local(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert len(sys_.rows) == 1
     assert row_set(sys_) == {
         signed(
@@ -139,7 +140,7 @@ def test_local_context_row_value_is_slice_odds_ratio():
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"))
     pv = oracle.random_positive(vs, seed=11)
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((2,),)))
-    sys_ = constraints_local(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     got = np.exp(evaluate_system(pv, sys_)[0])
     arr = pv.as_array()
     want = (arr[0, 1, 1] * arr[1, 0, 1]) / (arr[1, 1, 1] * arr[0, 0, 1])
@@ -150,7 +151,7 @@ def test_local_context_at_top_reduces_to_single_term():
     # only the empty context subset survives; its sign is (-1)^{|C|}
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"))
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((4,),)))
-    sys_ = constraints_local(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert row_set(sys_) == {signed((("1", "2"), (1, 1), -1))}
 
 
@@ -159,7 +160,7 @@ def test_threshold_on_four_levels_zeroes_upper_lattice():
     # constraints are exactly {eta_12(11), eta_123(112), eta_123(113)}.
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"))
     stmt = Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq"))
-    sys_ = threshold_rows(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert row_set(sys_) == {
         signed((("1", "2"), (1, 1), 1)),
         signed((("1", "2", "3"), (1, 1, 2), 1)),
@@ -171,10 +172,10 @@ def test_threshold_equals_lattice_rows_in_rank():
     # Threshold >= 2 and the cell-list system over {2,3,4} cut out the same
     # linear space: equal ranks separately and stacked.
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"))
-    thr = threshold_rows(
+    thr = generate_constraints(
         Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq")), vs
     )
-    lst = constraints_local(
+    lst = generate_constraints(
         Statement(("1",), ("2",), ("3",), CellListContext(((2,), (3,), (4,)))), vs
     )
     m_thr, _ = coefficient_matrix([thr])
@@ -189,7 +190,7 @@ def test_mixed_coding_threshold_nine_rows():
     # >= (2,2): nine single-term rows.
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"), (4, "continuation"))
     stmt = Statement(("1",), ("2",), ("3", "4"), ThresholdContext((2, 2), "geq"))
-    sys_ = threshold_rows(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert len(sys_.rows) == 9
     assert row_set(sys_) == {
         signed((("1", "2"), (1, 1), 1)),
@@ -209,18 +210,16 @@ def test_mixed_coding_threshold_nine_rows():
 
 def test_conditional_zero_set_binary_triple():
     vs = V((2, "baseline"), (2, "baseline"), (2, "baseline"))
-    sys_ = constraints_conditional(("1",), ("2",), ("3",), vs)
+    sys_ = generate_constraints(Statement(("1",), ("2",), ("3",)), vs)
     assert row_set(sys_) == {
         signed((("1", "2"), (1, 1), 1)),
         signed((("1", "2", "3"), (1, 1, 1), 1)),
     }
 
 
-def test_interaction_sets_versions():
+def test_interaction_sets_straddle_both_sides():
     straddle = interaction_sets(("1",), ("2", "3"))
     assert sorted(straddle) == [("1", "2"), ("1", "2", "3"), ("1", "3")]
-    sided = interaction_sets(("1",), ("2", "3"), version="sided")
-    assert sorted(sided) == [("1",), ("2",), ("2", "3"), ("3",)]
     with pytest.raises(StatementError):
         interaction_sets((), ("1",))
     with pytest.raises(StatementError):
@@ -240,7 +239,7 @@ def test_baseline_rows_vanish_on_planted_context():
     cells = ((2,),)
     pv = oracle.plant_distribution(vs, ("1",), ("2",), ("3",), cells, seed=3)
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(cells))
-    _assert_system_zero(pv, constraints_baseline(stmt, vs))
+    _assert_system_zero(pv, generate_constraints(stmt, vs))
 
 
 def test_baseline_rows_detect_dependence():
@@ -248,7 +247,7 @@ def test_baseline_rows_detect_dependence():
     cells = ((2,),)
     pv = oracle.sample_dependent(vs, ("1",), ("2",), ("3",), cells, seed=3)
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(cells))
-    vals = evaluate_system(pv, constraints_baseline(stmt, vs))
+    vals = evaluate_system(pv, generate_constraints(stmt, vs))
     assert np.max(np.abs(vals)) > 1e-3
 
 
@@ -257,7 +256,7 @@ def test_local_rows_vanish_on_planted_context():
     cells = ((2,), (3,))
     pv = oracle.plant_distribution(vs, ("1",), ("2",), ("3",), cells, seed=7)
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(cells))
-    _assert_system_zero(pv, constraints_local(stmt, vs))
+    _assert_system_zero(pv, generate_constraints(stmt, vs))
 
 
 def test_local_rows_detect_dependence():
@@ -265,7 +264,7 @@ def test_local_rows_detect_dependence():
     cells = ((2,), (3,))
     pv = oracle.sample_dependent(vs, ("1",), ("2",), ("3",), cells, seed=7)
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(cells))
-    vals = evaluate_system(pv, constraints_local(stmt, vs))
+    vals = evaluate_system(pv, generate_constraints(stmt, vs))
     assert np.max(np.abs(vals)) > 1e-3
 
 
@@ -275,7 +274,7 @@ def test_mixed_context_codings_vanish_on_planted_context():
     cells = ((1, 2), (1, 3))
     pv = oracle.plant_distribution(vs, ("1",), ("2",), ("3", "4"), cells, seed=19)
     stmt = Statement(("1",), ("2",), ("3", "4"), CellListContext(cells))
-    _assert_system_zero(pv, context_cell_rows(stmt, vs))
+    _assert_system_zero(pv, generate_constraints(stmt, vs))
 
 
 def test_threshold_rows_vanish_on_planted_region():
@@ -286,7 +285,7 @@ def test_threshold_rows_vanish_on_planted_region():
     pv = oracle.plant_distribution(
         vs, ("1",), ("2",), ("3", "4"), region, seed=2, homogeneous=True
     )
-    _assert_system_zero(pv, threshold_rows(stmt, vs))
+    _assert_system_zero(pv, generate_constraints(stmt, vs))
 
 
 def test_continuation_threshold_needs_common_margins():
@@ -299,14 +298,14 @@ def test_continuation_threshold_needs_common_margins():
     region = context_cells(stmt, vs)
     per_slice = oracle.plant_distribution(vs, ("1",), ("2",), ("3",), region, seed=8)
     assert oracle.verify_cs_direct(per_slice, ("1",), ("2",), ("3",), region) < 1e-12
-    vals = evaluate_system(per_slice, threshold_rows(stmt, vs))
+    vals = evaluate_system(per_slice, generate_constraints(stmt, vs))
     assert np.max(np.abs(vals)) > 1e-3
 
     pooled = oracle.plant_distribution(
         vs, ("1",), ("2",), ("3",), region, seed=8, homogeneous=True
     )
     assert oracle.verify_cs_direct(pooled, ("1",), ("2",), ("3",), region) < 1e-12
-    _assert_system_zero(pooled, threshold_rows(stmt, vs))
+    _assert_system_zero(pooled, generate_constraints(stmt, vs))
 
 
 def test_threshold_rows_detect_dependence():
@@ -314,7 +313,7 @@ def test_threshold_rows_detect_dependence():
     stmt = Statement(("1",), ("2",), ("3", "4"), ThresholdContext((2, 2), "geq"))
     region = context_cells(stmt, vs)
     pv = oracle.sample_dependent(vs, ("1",), ("2",), ("3", "4"), region, seed=2)
-    vals = evaluate_system(pv, threshold_rows(stmt, vs))
+    vals = evaluate_system(pv, generate_constraints(stmt, vs))
     assert np.max(np.abs(vals)) > 1e-3
 
 
@@ -324,11 +323,11 @@ def test_lower_threshold_normalizes_by_reversal():
     # independence planted in the lower region of the original scale.
     vs = V((2, "baseline"), (2, "baseline"), (4, "reverse-continuation"))
     stmt = Statement(("1",), ("2",), ("3",), ThresholdContext((3,), "leq"))
-    sys_ = threshold_rows(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert sys_.variables[2].coding == "continuation"
 
     flipped = Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq"))
-    direct = threshold_rows(flipped, sys_.variables)
+    direct = generate_constraints(flipped, sys_.variables)
     assert row_set(sys_) == row_set(direct)
 
     region = ((1,), (2,), (3,))  # original-scale cells at or below 3
@@ -344,7 +343,7 @@ def test_conditional_rows_vanish_iff_fully_independent():
     vs = V((2, "baseline"), (3, "baseline"), (3, "baseline"))
     all_cells = tuple((k,) for k in (1, 2, 3))
     pv = oracle.plant_distribution(vs, ("1",), ("2",), ("3",), all_cells, seed=9)
-    sys_ = constraints_conditional(("1",), ("2",), ("3",), vs)
+    sys_ = generate_constraints(Statement(("1",), ("2",), ("3",)), vs)
     _assert_system_zero(pv, sys_)
     dep = oracle.sample_dependent(vs, ("1",), ("2",), ("3",), all_cells, seed=9)
     assert np.max(np.abs(evaluate_system(dep, sys_))) > 1e-3
@@ -352,7 +351,7 @@ def test_conditional_rows_vanish_iff_fully_independent():
 
 def test_marginal_independence_conditional_rows():
     vs = V((2, "baseline"), (3, "baseline"))
-    sys_ = constraints_conditional(("1",), ("2",), (), vs)
+    sys_ = generate_constraints(Statement(("1",), ("2",), ()), vs)
     assert row_set(sys_) == {
         signed((("1", "2"), (1, 1), 1)),
         signed((("1", "2"), (1, 2), 1)),
@@ -367,28 +366,15 @@ def test_full_context_list_matches_conditional_rank():
     # K covering every context cell is the conditional independence model.
     vs = V((2, "baseline"), (3, "baseline"), (3, "baseline"))
     all_cells = tuple((k,) for k in (1, 2, 3))
-    cs = constraints_baseline(
+    cs = generate_constraints(
         Statement(("1",), ("2",), ("3",), CellListContext(all_cells)), vs
     )
-    ci = constraints_conditional(("1",), ("2",), ("3",), vs)
+    ci = generate_constraints(Statement(("1",), ("2",), ("3",)), vs)
     m_cs, _ = coefficient_matrix([cs])
     m_ci, _ = coefficient_matrix([ci])
     m_all, _ = coefficient_matrix([cs, ci])
     r = np.linalg.matrix_rank
     assert r(m_cs) == r(m_ci) == r(m_all)
-
-
-def test_sided_rows_not_implied_by_independence():
-    # The sided family is a parameterization-completion device: its rows are
-    # generally nonzero on tables where the planted independence holds, which
-    # is why straddling is the default generation strategy.
-    vs = V((3, "baseline"), (3, "baseline"), (3, "baseline"))
-    cells = ((2,),)
-    pv = oracle.plant_distribution(vs, ("1",), ("2",), ("3",), cells, seed=21)
-    stmt = Statement(("1",), ("2",), ("3",), CellListContext(cells))
-    sided = context_cell_rows(stmt, vs, version="sided")
-    vals = evaluate_system(pv, sided)
-    assert np.max(np.abs(vals)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +403,16 @@ def test_pre_dedup_counts_sum_to_closed_form():
         else:
             continue
         stmt = Statement(A, B, C, ctx)
-        straddle = context_cell_rows(stmt, vs, version="straddling")
-        sided = context_cell_rows(stmt, vs, version="sided")
+        straddle = generate_constraints(stmt, vs)
+        # effect cells of the effects inside one side alone, per context cell
+        sided = sum(
+            np.prod([spec_by[n].cardinality - 1 for n in effect])
+            for side in (A, B)
+            for r in range(1, len(side) + 1)
+            for effect in itertools.combinations(side, r)
+        ) * len(ctx.cells)
         want = expected_constraint_count(stmt, vs)
-        assert straddle.pre_dedup_count + sided.pre_dedup_count == want
+        assert straddle.pre_dedup_count + sided == want
 
 
 def test_expected_count_formula_values():
@@ -441,7 +433,7 @@ def test_pattern_context_expands_to_cells():
     listed = Statement(
         ("1",), ("2",), ("3", "4"), CellListContext(((1, 1), (2, 1), (3, 1)))
     )
-    assert row_set(context_cell_rows(stmt, vs)) == row_set(context_cell_rows(listed, vs))
+    assert row_set(generate_constraints(stmt, vs)) == row_set(generate_constraints(listed, vs))
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +443,28 @@ def test_continuation_conditioning_with_cells_rejected():
     vs = V((2, "baseline"), (2, "baseline"), (4, "continuation"))
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((2,),)))
     with pytest.raises(UnsupportedCodingError):
-        context_cell_rows(stmt, vs)
+        generate_constraints(stmt, vs)
 
 
 def test_baseline_conditioning_under_threshold_rejected():
     vs = V((2, "baseline"), (2, "baseline"), (4, "baseline"))
     stmt = Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq"))
     with pytest.raises(UnsupportedCodingError):
-        threshold_rows(stmt, vs)
+        generate_constraints(stmt, vs)
 
 
 def test_reverse_continuation_under_upper_threshold_rejected():
     vs = V((2, "baseline"), (2, "baseline"), (4, "reverse-continuation"))
     stmt = Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq"))
     with pytest.raises(UnsupportedCodingError):
-        threshold_rows(stmt, vs)
+        generate_constraints(stmt, vs)
 
 
 def test_continuation_under_lower_threshold_rejected():
     vs = V((2, "baseline"), (2, "baseline"), (4, "continuation"))
     stmt = Statement(("1",), ("2",), ("3",), ThresholdContext((3,), "leq"))
     with pytest.raises(UnsupportedCodingError):
-        threshold_rows(stmt, vs)
+        generate_constraints(stmt, vs)
 
 
 def test_statement_validation_errors():
@@ -527,10 +519,31 @@ def test_allocation_margin_selection():
         generate_constraints(stmt2, vs, alloc=bad)
 
 
+def test_generation_validates_each_statement_once(monkeypatch):
+    vs = V((2, "baseline"), (2, "baseline"), (3, "local"), (3, "reverse-continuation"))
+    calls = []
+
+    def counting(stmt, variables):
+        calls.append(stmt)
+        return validate_statement(stmt, variables)
+
+    monkeypatch.setattr("scgm.constraints.validate_statement", counting)
+    for text in [
+        "CI: {1} _||_ {2} | {3}",
+        "CS: {1} _||_ {2} | {3} = (2)",
+        "CS: {1} _||_ {2} | {3} = {(1),(3)}",
+        "CS: {1} _||_ {2} | {3} >= (2)",
+        "CS: {1} _||_ {2} | {3,4} <= (2,2)",
+    ]:
+        calls.clear()
+        generate_constraints(parse_statement(text), vs)
+        assert len(calls) == 1, text
+
+
 def test_dedup_collapses_sign_flips_and_merge():
     vs = V((2, "baseline"), (2, "baseline"), (2, "baseline"))
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((1,),)))
-    a = context_cell_rows(stmt, vs)
+    a = generate_constraints(stmt, vs)
     merged = merge_systems(vs, [a, a])
     assert len(merged.rows) == len(a.rows)
     assert merged.pre_dedup_count == 2 * a.pre_dedup_count
@@ -573,7 +586,7 @@ def test_parse_statement_errors():
 def test_system_json_shape():
     vs = V((2, "baseline"), (2, "baseline"), (2, "baseline"))
     stmt = Statement(("1",), ("2",), ("3",), CellListContext(((1,),)))
-    sys_ = context_cell_rows(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     obj = system_to_json(sys_)
     assert obj["schema"] == "scgm-constraints/1"
     assert obj["pre_dedup_count"] == sys_.pre_dedup_count
@@ -588,6 +601,44 @@ def test_system_json_shape():
 def test_origin_strings_carry_statement_text():
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"))
     stmt = parse_statement("CS: {1} _||_ {2} | {3} >= (2)")
-    sys_ = threshold_rows(stmt, vs)
+    sys_ = generate_constraints(stmt, vs)
     assert sys_.origin == "CS: {1} _||_ {2} | {3} >= (2)"
     assert all(r.origin == sys_.origin for r in sys_.rows)
+
+
+# ---------------------------------------------------------------------------
+# golden systems: every row shape on mixed codings, byte for byte; rewrite
+# the files only for a deliberate output change recorded in CHANGES.md
+
+FIG_B_VARS = V(
+    (3, "local"), (2, "baseline"), (3, "continuation"),
+    (3, "reverse-continuation"), (3, "baseline"),
+)
+MIXED_VARS = V(
+    (3, "baseline"), (3, "local"), (4, "continuation"),
+    (3, "reverse-continuation"), (3, "local"), (3, "baseline"),
+)
+GOLDEN_STATEMENTS = {
+    "ci": "CI: {2} _||_ {4} | {3}",
+    "cells": "CS: {1} _||_ {4} | {2,6} = {(1,2),(3,1)}",
+    "geq": "CS: {1} _||_ {2} | {3,5} >= (2,2)",
+    "leq": "CS: {1} _||_ {6} | {4,5} <= (2,2)",
+}
+
+
+def _golden_text(system):
+    return json.dumps(system_to_json(system), indent=1, sort_keys=True) + "\n"
+
+
+def test_graph_system_matches_golden():
+    # fig_b on its own allocation: plain and pattern-context statements
+    system = scgm_constraint_system(load_graph(GOLDEN / "fig_b.graph"), FIG_B_VARS)
+    want = (GOLDEN / "constraints_fig_b.json").read_text(encoding="utf-8")
+    assert _golden_text(system) == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
+def test_statement_system_matches_golden(name):
+    system = generate_constraints(parse_statement(GOLDEN_STATEMENTS[name]), MIXED_VARS)
+    want = (GOLDEN / f"constraints_{name}.json").read_text(encoding="utf-8")
+    assert _golden_text(system) == want

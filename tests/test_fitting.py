@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 
 from scgm.cli import RunConfig, _search_text
-from scgm.constraints import constraints_conditional, generate_constraints, parse_statement
+from scgm.constraints import generate_constraints, parse_statement
 from scgm.errors import StatementError, ZeroMassSliceError
 from scgm.fitting import (
     AIC_FORMULA,
@@ -127,7 +127,7 @@ def test_saturated_fit_returns_observed_exactly():
 def test_two_by_two_independence_matches_closed_form():
     vs = variables((2, 2))
     counts = np.array([10.0, 20.0, 30.0, 40.0])
-    system = constraints_conditional(("1",), ("2",), (), vs)
+    system = generate_constraints(parse_statement("CI: {1} _||_ {2}"), vs)
     res = fit_constrained(ContingencyTable(vs, counts), system, TIGHT)
     assert res.converged
     want = np.outer([0.3, 0.7], [0.4, 0.6]).ravel()
@@ -142,7 +142,7 @@ def test_three_by_three_independence_matches_ipf():
     vs = variables((3, 3))
     rng = np.random.default_rng(5)
     counts = rng.integers(5, 80, size=9).astype(float)
-    system = constraints_conditional(("1",), ("2",), (), vs)
+    system = generate_constraints(parse_statement("CI: {1} _||_ {2}"), vs)
     res = fit_constrained(ContingencyTable(vs, counts), system, TIGHT)
     assert res.converged and res.df == 4
 
@@ -255,7 +255,7 @@ def test_variable_mismatch_is_rejected():
 
 def test_fit_json_round():
     vs = variables((2, 2))
-    system = constraints_conditional(("1",), ("2",), (), vs)
+    system = generate_constraints(parse_statement("CI: {1} _||_ {2}"), vs)
     res = fit_constrained(ContingencyTable(vs, np.array([10.0, 20.0, 30.0, 40.0])), system)
     doc = fit_to_json(res, system)
     assert doc["schema"] == "scgm-fit/1"
@@ -385,13 +385,24 @@ def test_search_keeps_a_saturated_skeleton_intact():
     assert all(e["chosen"] is None for e in doc["step3"])
 
 
-def test_search_falls_back_to_the_skeleton_when_no_candidate_passes():
+def test_search_falls_back_to_the_skeleton_when_no_candidate_passes(monkeypatch):
     # without arc 1 -> 3 the skeleton misses a strong dependence: the joint
     # removal (the skeleton itself) fails the p-filter, so does the fallback
     skeleton = replace(CHAIN3, arcs=(("1", "2"), ("2", "3")))
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return fit_constrained(*args, **kwargs)
+
+    monkeypatch.setattr("scgm.fitting.fit_constrained", counting_fit)
     trace = model_search(table_with_saturated_interactions(), skeleton)
+    # two single removals, the joint removal reused as the fallback, and
+    # the final refit: the skeleton is not fitted a third time
+    assert len(fits) == 4
     step2 = trace_to_json(trace)["step2"]
     assert [c["restored"] for c in step2["candidates"]] == [None, "all"]
+    assert trace.step2[1][1] is trace.step2[0][1]
     assert all(c["fit"]["p_value"] < 1e-100 for c in step2["candidates"])
     assert step2["selected"] == render_graph(skeleton)
     assert trace.final_graph == skeleton
