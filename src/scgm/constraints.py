@@ -33,7 +33,6 @@ from .params import ParamIndex, param_index, param_values
 from .tables import (
     ProbabilityVector,
     VariableSpec,
-    probability_vector,
     variable_names,
     variables_to_json,
 )
@@ -180,7 +179,10 @@ def _parse_tuple(text):
     items = []
     for part in text[1:-1].split(","):
         part = part.strip()
-        items.append(None if part == "*" else int(part))
+        try:
+            items.append(None if part == "*" else int(part))
+        except ValueError:
+            raise StatementError(f"level {part!r} in {text!r} is not an integer or *") from None
     return tuple(items)
 
 
@@ -324,9 +326,11 @@ class Row:
 class ConstraintSystem:
     """Deduplicated constraint rows plus the variables they refer to.
 
-    For a lower-threshold statement the variables carry reversed level
-    scales for the conditioning set; evaluate such systems on a table whose
-    context axes have been flipped with reverse_variable_levels.
+    For a lower-threshold (``<=``) statement the variables carry reversed
+    level scales for the conditioning set: the rows are those of the upper
+    threshold at level c + 1 - k of a c-level variable bounded at k, with
+    continuation and reverse-continuation codings swapped.  Such a system
+    holds on a table whose conditioning axes are flipped to match.
     """
 
     variables: tuple
@@ -430,19 +434,12 @@ def _inner_context_terms(spec_by, c_vars, kcell_map):
     return cells
 
 
-def reverse_variable_levels(pv: ProbabilityVector, names) -> ProbabilityVector:
-    """Flip the level order of the named variables (and swap their codings).
+def reversed_context_specs(variables, names):
+    """Variable specs after reversing the named scales.
 
     Continuation and reverse-continuation exchange roles on a reversed
     scale; baseline and local keep their labels.
     """
-    axes = tuple(k for k, spec in enumerate(pv.variables) if spec.name in names)
-    arr = np.flip(pv.as_array(), axis=axes)
-    return probability_vector(reversed_context_specs(pv.variables, names), arr.ravel())
-
-
-def reversed_context_specs(variables, names):
-    """Variable specs after reversing the named scales."""
     flip = {"continuation": "reverse-continuation", "reverse-continuation": "continuation"}
     out = []
     for spec in variables:

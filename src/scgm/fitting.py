@@ -32,6 +32,16 @@ B diag(pi) B^T lam = B g + h square the conditioning and leave fits with
 many zero cells unconverged far from the optimum; without the 1e-12 term
 some near-boundary fits stall.
 
+Each iterate is evaluated once, by ``_point``, into a frozen record of the
+logits, pi, the event masses A pi, the log-likelihood and h.  The line
+search builds its trial points the same way, and the accepted trial is
+the next iterate.  The loop top adds B, J and the two KKT norms for the
+current multipliers; the best iterate seen is kept as its point and
+multipliers.  The reported ``kkt_residual``, df and ``pi_hat`` come from
+the chosen point without evaluating it again: the last point of a
+converged run, whose loop-top J gives the rank, or the best point of an
+unconverged one, the only case that rebuilds its Jacobian.
+
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
 at a time, then try context-specific relaxations of the independencies
@@ -233,13 +243,6 @@ class CompiledSystem:
     def n_rows(self) -> int:
         return self.C.shape[0]
 
-    def value(self, pi):
-        return self.C @ np.log(self.A @ pi)
-
-    def jacobian_pi(self, pi):
-        masses = self.A @ pi
-        return self.C @ (self.A / masses[:, None])
-
     def param_values(self, pi):
         """Every parameter in ``indices`` at pi, in that order."""
         masses = self.A @ pi
@@ -284,10 +287,46 @@ def _event_indicator(variables, levels):
     return arr.ravel()
 
 
-def _centred_jacobian(compiled, pi):
+@dataclass(frozen=True)
+class _Point:
+    """One solver iterate: logits x, pi = softmax(x), event masses A pi,
+    the log-likelihood p_obs . log(pi) and h = C log(A pi)."""
+
+    x: np.ndarray
+    pi: np.ndarray
+    masses: np.ndarray
+    loglik: float
+    h: np.ndarray
+
+    def merit(self, mu) -> float:
+        return -self.loglik + mu * float(np.abs(self.h).sum())
+
+
+def _point(compiled, p_obs, x):
+    """The iterate at logits x, or None when an event mass is not positive."""
+    z = x - x.max()
+    e = np.exp(z)
+    total = e.sum()
+    pi = e / total
+    masses = compiled.A @ pi
+    if np.any(masses <= 0.0):
+        return None
+    loglik = float(p_obs @ z) - math.log(total)
+    return _Point(x, pi, masses, loglik, compiled.C @ np.log(masses))
+
+
+def _centred_jacobian(compiled, point):
     """B = M - (M pi) 1^T for M = dh/dpi; the logit Jacobian is B diag(pi)."""
-    M = compiled.jacobian_pi(pi)
-    return M - (M @ pi)[:, None]
+    M = compiled.C @ (compiled.A / point.masses[:, None])
+    return M - (M @ point.pi)[:, None]
+
+
+def _kkt(compiled, p_obs, point, lam):
+    """B, J = B diag(pi), max |stationarity| and max |h| at a point and lam."""
+    B = _centred_jacobian(compiled, point)
+    J = B * point.pi[None, :]
+    stationarity = (p_obs - point.pi) - J.T @ lam
+    return B, J, float(np.abs(stationarity).max()), float(np.abs(point.h).max())
 
 
 def _projection_step(B, pi, g, h):
@@ -378,87 +417,44 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
     compiled = compile_system(variables, system)
     p_obs = counts / N
     start = (counts + options.smoothing) / (N + options.smoothing * n_cells)
-    x = np.log(start)
+    # positive start masses, and every accepted trial has finite merit, so
+    # each loop-top point exists
+    point = _point(compiled, p_obs, np.log(start))
     lam = np.zeros(compiled.n_rows)
-
-    def merit(xv, mu):
-        z = xv - xv.max()
-        log_norm = math.log(np.exp(z).sum())
-        pi = np.exp(z) / np.exp(z).sum()
-        masses = compiled.A @ pi
-        if np.any(masses <= 0):
-            return math.inf
-        loglik = float(p_obs @ z) - log_norm
-        h = compiled.C @ np.log(masses)
-        return -loglik + mu * float(np.abs(h).sum())
-
-    converged = False
-    stalled = False
-    iterations = 0
-    kkt_residual = math.inf
-    best = None  # (feasibility, -loglik, x, lam); both arrays are only rebound
+    converged = stalled = False
+    best = None  # (feasibility, -loglik, point, lam)
     stalls = 0
 
-    for it in range(1, options.max_iterations + 1):
-        iterations = it
-        z = x - x.max()
-        pi = np.exp(z)
-        pi /= pi.sum()
-        masses = compiled.A @ pi
-        h = compiled.C @ np.log(masses)
-        B = _centred_jacobian(compiled, pi)
-        J = B * pi[None, :]
-        g = p_obs - pi
-        stationarity = g - J.T @ lam
-        feas = float(np.abs(h).max())
-        kkt_residual = max(float(np.abs(stationarity).max()), feas)
-
-        loglik = float(p_obs @ z) - math.log(np.exp(z).sum())
-        state = (feas, -loglik, x, lam)
-        if best is None or (feas, -loglik) < (best[0], best[1]):
-            best = state
-
-        if feas < options.constraint_tolerance and float(
-            np.abs(stationarity).max()
-        ) < options.gradient_tolerance:
+    for iterations in range(1, options.max_iterations + 1):
+        B, J, stationarity, feas = _kkt(compiled, p_obs, point, lam)
+        if best is None or (feas, -point.loglik) < best[:2]:
+            best = (feas, -point.loglik, point, lam)
+        if feas < options.constraint_tolerance and stationarity < options.gradient_tolerance:
             converged = True
             break
 
-        dx, lam_new = _projection_step(B, pi, g, h)
-
-        mu = max(1.0, 2.0 * float(np.abs(lam_new).max(initial=0.0)))
-        # merit(x, mu) from this iteration's own values
-        phi0 = math.inf if np.any(masses <= 0) else -loglik + mu * float(np.abs(h).sum())
+        dx, lam = _projection_step(B, point.pi, p_obs - point.pi, point.h)
+        mu = max(1.0, 2.0 * float(np.abs(lam).max(initial=0.0)))
+        phi0 = point.merit(mu)
         alpha = 1.0
-        accepted = False
         for _ in range(STEP_HALVING_MAX + 1):
-            phi_try = merit(x + alpha * dx, mu)
-            if phi_try < phi0:
-                accepted = True
+            trial = _point(compiled, p_obs, point.x + alpha * dx)
+            if trial is not None and trial.merit(mu) < phi0:
+                point = trial
+                stalls = 0
                 break
             alpha *= 0.5
-        if accepted:
-            x = x + alpha * dx
-            lam = lam_new
-            stalls = 0
         else:
-            lam = lam_new
             stalls += 1
             if stalls >= 3:
                 stalled = True
                 break
 
-    if not converged and best is not None:
-        feas, _, x, lam = best
-
-    z = x - x.max()
-    pi = np.exp(z)
-    pi /= pi.sum()
-    h = compiled.value(pi)
-    feas = float(np.abs(h).max())
-    J = _centred_jacobian(compiled, pi) * pi[None, :]
-    stationarity = (p_obs - pi) - J.T @ lam
-    kkt_residual = max(float(np.abs(stationarity).max()), feas)
+    if not converged:
+        _, _, point, lam = best
+        _, J, stationarity, feas = _kkt(compiled, p_obs, point, lam)
+    kkt_residual = max(stationarity, feas)
+    df = _rank(J, compiled.n_rows)
 
     # a truncated run is merely unconverged; only a stalled solver that is
     # still far from the constraint set indicates an infeasible system
@@ -466,12 +462,12 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
         raise InfeasibleSystemError(
             f"no feasible point found: max |h| = {feas:.3e} after "
             f"{iterations} iterations; constraint Jacobian rank "
-            f"{_rank(J, compiled.n_rows)} over {compiled.n_rows} rows"
+            f"{df} over {compiled.n_rows} rows"
         )
 
+    pi = point.pi
     pv_hat = ProbabilityVector(variables, pi)
     G2 = _deviance(counts, pi, N)
-    df = _rank(J, compiled.n_rows)
     p = chisq_sf(G2, df) if df >= 1 else 1.0
     aic, bic = information_criteria(G2, df, n_cells, N)
     eta_hat = dict(zip(compiled.indices, compiled.param_values(pi).tolist()))

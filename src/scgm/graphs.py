@@ -76,7 +76,11 @@ def validate(graph: StratifiedChainGraph, variables=None):
             problems.append(f"vertex {v!r} declared twice")
         seen.add(v)
     membership = {}
+    out = {}  # component digraph, keys in declared order
     for name, members in graph.components:
+        if name in out:
+            problems.append(f"component {name} declared twice")
+        out[name] = set()
         for v in members:
             if v not in seen:
                 problems.append(f"component {name} lists unknown vertex {v!r}")
@@ -107,7 +111,6 @@ def validate(graph: StratifiedChainGraph, variables=None):
         edge_seen.add(key)
 
     arc_seen = set()
-    comp_arcs = set()
     for u, v in graph.arcs:
         if u == v:
             problems.append(f"arc {u} -> {v} is a self loop")
@@ -119,32 +122,18 @@ def validate(graph: StratifiedChainGraph, variables=None):
             problems.append(
                 f"arc {u} -> {v} stays inside component {membership[u]}"
             )
+        else:
+            out[membership[u]].add(membership[v])
         if (u, v) in arc_seen:
             problems.append(f"arc {u} -> {v} declared twice")
         if (v, u) in arc_seen:
             problems.append(f"arcs {u} -> {v} and {v} -> {u} are both declared")
         arc_seen.add((u, v))
-        if membership.get(u) != membership.get(v):
-            comp_arcs.add((membership[u], membership[v]))
 
     # no directed or semi-directed cycle: the component digraph must be acyclic
-    names = [name for name, _ in graph.components]
-    indeg = {n: 0 for n in names}
-    out = {n: [] for n in names}
-    for a, b in comp_arcs:
-        out[a].append(b)
-        indeg[b] += 1
-    queue = [n for n in names if indeg[n] == 0]
-    visited = 0
-    while queue:
-        n = queue.pop()
-        visited += 1
-        for m in out[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if visited != len(names):
-        cyclic = sorted(n for n in names if indeg[n] > 0)
+    order = _topological_order(out)
+    if len(order) != len(out):
+        cyclic = sorted(set(out) - set(order))
         problems.append(
             "semi-directed cycle through components " + ", ".join(cyclic)
         )
@@ -195,9 +184,9 @@ def _validate_stratum(graph, membership, s, spec_by):
         scope = "the component's covariate set"
     else:
         # orient so gamma sits downstream of delta's component
-        if membership[d] in _ancestor_components(graph, membership[g]):
+        if membership[g] in _reachable_components(graph, membership[d]):
             down = g
-        elif membership[g] in _ancestor_components(graph, membership[d]):
+        elif membership[d] in _reachable_components(graph, membership[g]):
             down = d
         else:
             problems.append(
@@ -270,43 +259,37 @@ def _component_digraph(graph):
     return membership, out
 
 
-def chain_components(graph):
-    """Component vertex sets in a topological order of the component digraph."""
-    _, out = _component_digraph(graph)
-    names = [name for name, _ in graph.components]
-    indeg = {n: 0 for n in names}
-    for n in names:
+def _topological_order(out):
+    """Kahn's sort of a component digraph whose keys are in declared order.
+
+    The earliest declared ready component goes first.  Components on or
+    downstream of a cycle never become ready and are left out.
+    """
+    pos = {n: k for k, n in enumerate(out)}
+    indeg = dict.fromkeys(out, 0)
+    for n in out:
         for m in out[n]:
             indeg[m] += 1
-    ready = [n for n in names if indeg[n] == 0]
+    ready = [n for n in out if indeg[n] == 0]
     order = []
     while ready:
-        ready.sort(key=names.index)
+        ready.sort(key=pos.__getitem__)
         n = ready.pop(0)
         order.append(n)
-        for m in sorted(out[n], key=names.index):
+        for m in sorted(out[n], key=pos.__getitem__):
             indeg[m] -= 1
             if indeg[m] == 0:
                 ready.append(m)
-    if len(order) != len(names):
+    return order
+
+
+def chain_components(graph):
+    """Component vertex sets in a topological order of the component digraph."""
+    _, out = _component_digraph(graph)
+    order = _topological_order(out)
+    if len(order) != len(out):
         raise GraphFormatError("component digraph is cyclic")
     return tuple((n, dict(graph.components)[n]) for n in order)
-
-
-def _ancestor_components(graph, name):
-    """Components from which ``name`` is reachable (excluding itself)."""
-    _, out = _component_digraph(graph)
-    anc = set()
-    changed = True
-    while changed:
-        changed = False
-        for n in out:
-            if n in anc:
-                continue
-            if name in out[n] or out[n] & anc:
-                anc.add(n)
-                changed = True
-    return anc
 
 
 def _reachable_components(graph, name):
@@ -597,7 +580,12 @@ def parse_graph(text: str) -> StratifiedChainGraph:
                     item = item.strip()
                     if not item:
                         continue
-                    row.append(None if item == "*" else int(item))
+                    try:
+                        row.append(None if item == "*" else int(item))
+                    except ValueError:
+                        raise GraphFormatError(
+                            f"line {lineno}: context level {item!r} is not an integer or *"
+                        ) from None
                 rows.append(tuple(row))
             if not rows:
                 raise GraphFormatError(f"line {lineno}: stratum with no context rows")
@@ -672,6 +660,15 @@ def graph_from_json(obj: dict) -> StratifiedChainGraph:
         )
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"malformed graph object: {exc}")
+    for s in strata:
+        for p in s.patterns:
+            for lvl in p:
+                # exact type: JSON true and false load as bool, a subclass of int
+                if lvl is not None and type(lvl) is not int:
+                    raise GraphFormatError(
+                        f"stratum ({','.join(map(str, s.pair))}): context level {lvl!r}"
+                        " is not an integer or null"
+                    )
     vertices = tuple(v for _, members in components for v in members)
     return StratifiedChainGraph(vertices, components, edges, arcs, strata)
 

@@ -75,6 +75,38 @@ def test_validate_malformed_file_is_a_parse_error(workdir, capsys):
     assert main(["validate", "--graph", str(workdir / "no-such-file.graph")]) == 2
 
 
+def test_validate_rejects_a_duplicate_component_name(tmp_path, capsys):
+    path = tmp_path / "dup.graph"
+    path.write_text("component A = {1,2}\ncomponent A = {3}\n", encoding="utf-8")
+    assert main(["validate", "--graph", str(path)]) == 1
+    assert "component A declared twice" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bad.graph", "component T1 = {1}\ncomponent T2 = {2,3}\narc 1 -> 2\n"
+                      "stratum (2,3) | {1} = {(x)}\n"),
+        ("bad.json", json.dumps({
+            "schema": "scgm-graph/1",
+            "components": [{"name": "T1", "vertices": ["1"]},
+                           {"name": "T2", "vertices": ["2", "3"]}],
+            "arcs": [["1", "2"]],
+            "strata": [{"pair": ["2", "3"], "given": ["1"], "patterns": [["x"]]}],
+        })),
+    ],
+    ids=["text", "json"],
+)
+def test_validate_non_integer_context_level_is_a_parse_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'x' is not an integer" in err
+    if name.endswith(".graph"):
+        assert "line 4" in err
+
+
 # ---------------------------------------------------------------------------
 # markov
 
@@ -144,6 +176,16 @@ def test_constraints_rejects_bad_statement(workdir, capsys):
          "--statement", "CI: {3} _||_ {9}"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("op", ["=", ">="])
+def test_constraints_rejects_a_non_integer_context_level(workdir, capsys, op):
+    code = main(
+        ["constraints", "--table", str(workdir / "chain.csv"),
+         "--statement", f"CS: {{2}} _||_ {{3}} | {{1}} {op} (x)"]
+    )
+    assert code == 1
+    assert "'x' in '(x)' is not an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

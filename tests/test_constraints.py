@@ -21,7 +21,7 @@ from scgm.constraints import (
     merge_systems,
     parse_statement,
     render_statement,
-    reverse_variable_levels,
+    reversed_context_specs,
     statement_from_json,
     statement_to_json,
     system_to_json,
@@ -33,6 +33,14 @@ from scgm.regression import scgm_constraint_system
 from scgm.tables import VariableSpec, probability_vector
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def reverse_variable_levels(pv, names):
+    """Flip the level order of the named variables and swap their codings,
+    as a lower-threshold system's variables expect."""
+    axes = tuple(k for k, spec in enumerate(pv.variables) if spec.name in names)
+    arr = np.flip(pv.as_array(), axis=axes)
+    return probability_vector(reversed_context_specs(pv.variables, names), arr.ravel())
 
 
 def coefficient_matrix(systems):

@@ -20,6 +20,7 @@ from scgm.fitting import (
     FitResult,
     chisq_sf,
     _centred_jacobian,
+    _point,
     _projection_step,
     compile_system,
     fit_constrained,
@@ -481,6 +482,14 @@ def search_candidate(removed_arcs=(), strata=()):
     )
 
 
+def planted128_0_candidate():
+    """The search candidate on planted128_0 that creeps for 384 iterations."""
+    return search_candidate(
+        removed_arcs=(("2", "1"), ("4", "1"), ("6", "1")),
+        strata=(Stratum(("2", "3"), ("6",), ((2,),)),),
+    )
+
+
 def test_search_candidates_near_the_boundary_converge():
     # candidates of the three-step search on two planted 128-cell tables
     # (fig4's components, N = 5000), with cells whose mass goes to zero.
@@ -493,14 +502,23 @@ def test_search_candidates_near_the_boundary_converge():
     assert res.G2 == pytest.approx(149.2141, abs=1e-4)
 
     table = golden_table("planted128_0.csv")
-    graph = search_candidate(
-        removed_arcs=(("2", "1"), ("4", "1"), ("6", "1")),
-        strata=(Stratum(("2", "3"), ("6",), ((2,),)),),
-    )
+    graph = planted128_0_candidate()
     res = fit_constrained(table, scgm_constraint_system(graph, table.variables))
     assert res.converged
     assert res.iterations == 384
     assert res.G2 == pytest.approx(618.46454, abs=1e-5)
+
+
+@pytest.mark.parametrize("name", ["fig4_sparse288_0", "planted128_0"])
+def test_fit_json_matches_the_golden_fit(name):
+    # pins every number of the fit (pi_hat, eta_hat, kkt_residual, ...)
+    # bit for bit: a 10-iteration boundary fit and a 384-iteration creep
+    table = golden_table(f"{name}.csv")
+    graph = FIG4 if name.startswith("fig4") else planted128_0_candidate()
+    system = scgm_constraint_system(graph, table.variables)
+    doc = fit_to_json(fit_constrained(table, system), system)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / f"fit_{name}.json").read_text(encoding="utf-8")
 
 
 def dense_kkt_step(J, pi, g, h):
@@ -526,10 +544,10 @@ def test_projection_step_matches_the_dense_kkt_step(case):
     # the solver's starting point, then full reference steps
     x = np.log((counts + 0.5) / (N + 0.5 * counts.size))
     for _ in range(3):
-        pi = np.exp(x - x.max())
-        pi /= pi.sum()
-        B = _centred_jacobian(compiled, pi)
-        g, h = counts / N - pi, compiled.value(pi)
+        point = _point(compiled, counts / N, x)
+        pi, h = point.pi, point.h
+        B = _centred_jacobian(compiled, point)
+        g = counts / N - pi
         dx_ref, lam_ref = dense_kkt_step(B * pi, pi, g, h)
         dx, lam = _projection_step(B, pi, g, h)
         # steps that differ along the all-ones direction move pi alike

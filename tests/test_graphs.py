@@ -241,6 +241,15 @@ def test_semi_directed_cycle():
         markov_type_iv(g)
 
 
+def test_duplicate_component_name_is_a_problem():
+    # the second declaration used to shadow the first: vertices 1 and 2
+    # dropped out of every marginal and the graph read as saturated
+    g = parse_graph("component A = {1,2}\ncomponent A = {3}\n")
+    assert validate(g) == ["component A declared twice"]
+    with pytest.raises(GraphFormatError, match="component A declared twice"):
+        stratified_markov(g)
+
+
 def test_edge_across_components():
     g = parse_graph("component T1 = {1}\ncomponent T2 = {2}\nedge 1 -- 2\n")
     assert any("crosses components" in p for p in validate(g))

@@ -7,12 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from scgm.constraints import (
-    evaluate_system,
-    render_statement,
-    reverse_variable_levels,
-    validate_statement,
-)
+from scgm.constraints import evaluate_system, render_statement, validate_statement
 from scgm.errors import (
     AllocationCoverageError,
     GraphFormatError,
@@ -39,6 +34,7 @@ from scgm.regression import (
     scgm_constraint_system,
 )
 from scgm.tables import VariableSpec, probability_vector
+from test_constraints import reverse_variable_levels
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
