@@ -35,7 +35,7 @@ from .constraints import (
     system_to_json,
     validate_statement,
 )
-from .errors import GraphFormatError, ScgmError, TableFormatError
+from .errors import GraphFormatError, OptionError, ScgmError, TableFormatError
 from .fitting import (
     AIC_FORMULA,
     BIC_FORMULA,
@@ -207,6 +207,7 @@ def _graph_block(label: str, rendered: str) -> list[str]:
 
 
 def _fit_options(args) -> FitOptions:
+    """The fit options the flags ask for; OptionError when one is out of range."""
     kwargs = {}
     if getattr(args, "smoothing", None) is not None:
         kwargs["smoothing"] = args.smoothing
@@ -312,6 +313,7 @@ def cmd_fit(args) -> int:
         smoothing=args.smoothing, max_iterations=args.max_iterations,
         seed=args.seed, out=args.out,
     )
+    options = _fit_options(args)
     table = _read_table(args.table)
     graph = _read_graph(args.graph)
     if not _names_match(graph, table.variables):
@@ -319,7 +321,6 @@ def cmd_fit(args) -> int:
     problems = validate(graph, table.variables)
     if problems:
         return _reject(problems)
-    options = _fit_options(args)
     system = scgm_constraint_system(graph, table.variables)
     result = fit_constrained(table, system, options)
     run = config.run_block()
@@ -430,11 +431,13 @@ def cmd_search(args) -> int:
         criterion=args.criterion, alpha=args.alpha,
         seed=args.seed, out=args.out,
     )
+    options = _fit_options(args)
+    if not 0.0 < args.alpha < 1.0:
+        raise OptionError(f"alpha must lie strictly between 0 and 1, got {args.alpha}")
     table = _read_table(args.table)
     skeleton = _read_graph(args.graph)
     if not _names_match(skeleton, table.variables):
         return 1
-    options = _fit_options(args)
     trace = model_search(
         table, skeleton, options, criterion=args.criterion, alpha=args.alpha
     )
@@ -550,7 +553,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TableFormatError, GraphFormatError) as exc:
+    except (TableFormatError, GraphFormatError, OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

@@ -43,5 +43,9 @@ class GraphFormatError(ScgmError):
     """A graph file or payload does not satisfy the format contract."""
 
 
+class OptionError(ScgmError, ValueError):
+    """A fit or search option is out of its range."""
+
+
 class InfeasibleSystemError(ScgmError):
     """A constraint system admits no probability vector."""

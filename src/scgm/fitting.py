@@ -67,7 +67,13 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .constraints import ConstraintSystem, render_statement, validate_statement
-from .errors import InfeasibleSystemError, ScgmError, StatementError, ZeroMassSliceError
+from .errors import (
+    InfeasibleSystemError,
+    OptionError,
+    ScgmError,
+    StatementError,
+    ZeroMassSliceError,
+)
 from .graphs import (
     Stratum,
     StratifiedChainGraph,
@@ -172,7 +178,7 @@ def information_criteria(G2, df, n_cells, N):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration controls; all fields must be positive."""
+    """Iteration controls; all fields must be positive and finite."""
 
     max_iterations: int = 500
     constraint_tolerance: float = 1e-8
@@ -186,8 +192,9 @@ class FitOptions:
             "gradient_tolerance",
             "smoothing",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise OptionError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -255,18 +262,79 @@ class CompiledSystem:
         return self.P @ np.log(masses)
 
 
-def compile_system(variables, system: ConstraintSystem) -> CompiledSystem:
+class EventCache:
+    """Signed terms, event ids and event cells shared by a search's compiles.
+
+    ``terms(idx)`` gives a parameter index's event ids and signs, read once
+    from ``event_table``; an event id numbers a distinct (margin, levels)
+    event in the order the cache first met it, and ``cells(eid)`` holds
+    that event's flat cell positions in the table.
+    """
+
+    def __init__(self, variables):
+        self.variables = tuple(variables)
+        self._shape = tuple(s.cardinality for s in self.variables)
+        self._positions = {s.name: k for k, s in enumerate(self.variables)}
+        self._flat = np.arange(math.prod(self._shape)).reshape(self._shape)
+        self._terms = {}
+        self._ids = {}
+        self._cells = []
+
+    def terms(self, idx):
+        """Event ids and signs of idx's terms, in signed-event order."""
+        row = self._terms.get(idx)
+        if row is None:
+            events, (signed,) = event_table(self.variables, (idx,))
+            ids = [self._event_id(key) for key in events]
+            row = self._terms[idx] = (
+                np.array([ids[pos] for pos, _ in signed], dtype=np.intp),
+                np.array([sign for _, sign in signed]),
+            )
+        return row
+
+    def cells(self, eid):
+        return self._cells[eid]
+
+    def _event_id(self, key):
+        eid = self._ids.get(key)
+        if eid is None:
+            eid = self._ids[key] = len(self._cells)
+            margin, levels = key
+            sel = [np.arange(n) for n in self._shape]
+            for name, lv in zip(margin, levels):
+                sel[self._positions[name]] = np.array(lv) - 1
+            self._cells.append(self._flat[np.ix_(*sel)].ravel())
+        return eid
+
+
+def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledSystem:
+    """The system as h(pi) = C log(A pi), read through ``cache``.
+
+    Without a cache a fresh one is made.  Events keep the first-seen order
+    of ``event_table(variables, system.indices)``: it fixes the summation
+    order of C log(A pi).
+    """
     variables = tuple(variables)
-    n_cells = int(np.prod([s.cardinality for s in variables]))
+    if cache is None:
+        cache = EventCache(variables)
+    elif cache.variables != variables:
+        raise ValueError("event cache was built for other variables")
+    n_cells = math.prod(s.cardinality for s in variables)
     indices = system.indices
-    events, terms = event_table(variables, indices)
-    A = np.empty((len(events), n_cells))
-    for pos, (margin, levels) in enumerate(events):
-        A[pos] = _event_indicator(variables, dict(zip(margin, levels)))
-    P = np.zeros((len(indices), len(events)))
-    for i, row in enumerate(terms):
-        for pos, sign in row:
-            P[i, pos] = sign  # an index's events are distinct
+    terms = [cache.terms(idx) for idx in indices]
+    ids = _joined([row_ids for row_ids, _ in terms], np.intp)
+    signs = _joined([row_signs for _, row_signs in terms], float)
+    term_rows = np.repeat(np.arange(len(terms)), [row_ids.size for row_ids, _ in terms])
+    # distinct ids ranked by their first appearance among the terms
+    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(unique), dtype=np.intp)
+    rank[order] = np.arange(len(unique))
+    cells = [cache.cells(eid) for eid in unique[order]]
+    A = np.zeros((len(cells), n_cells))
+    A[np.repeat(np.arange(len(cells)), [c.size for c in cells]), _joined(cells, np.intp)] = 1.0
+    P = np.zeros((len(indices), len(cells)))
+    P[term_rows, rank[inverse]] = signs  # an index's events are distinct
     index_pos = {idx: i for i, idx in enumerate(indices)}
     C_idx = np.zeros((len(system.rows), len(indices)))
     for r, row in enumerate(system.rows):
@@ -275,16 +343,9 @@ def compile_system(variables, system: ConstraintSystem) -> CompiledSystem:
     return CompiledSystem(variables, indices, A, C_idx @ P, P)
 
 
-def _event_indicator(variables, levels):
-    """0/1 cell vector of the event pinning each named variable to ``levels``."""
-    arr = np.zeros(tuple(s.cardinality for s in variables))
-    sel = [
-        np.array([l - 1 for l in levels[s.name]]) if s.name in levels
-        else np.arange(s.cardinality)
-        for s in variables
-    ]
-    arr[np.ix_(*sel)] = 1.0
-    return arr.ravel()
+def _joined(arrays, dtype):
+    """The arrays end to end; empty when there are none."""
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -377,12 +438,15 @@ def _deviance(counts, pi, N) -> float:
     return max(g2, 0.0)
 
 
-def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=None) -> FitResult:
+def fit_constrained(
+    table: ContingencyTable, system: ConstraintSystem, options=None, *, cache=None
+) -> FitResult:
     """Maximum likelihood under the system's rows.
 
     Returns the best iterate flagged unconverged when the iteration budget
     runs out; raises InfeasibleSystemError when the solver stalls while
-    grossly infeasible, with rank diagnostics in the message.
+    grossly infeasible, with rank diagnostics in the message.  ``cache``
+    is the ``EventCache`` the system is compiled through.
     """
     options = options or FitOptions()
     variables = table.variables
@@ -414,7 +478,7 @@ def fit_constrained(table: ContingencyTable, system: ConstraintSystem, options=N
             n_cells=n_cells,
         )
 
-    compiled = compile_system(variables, system)
+    compiled = compile_system(variables, system, cache)
     p_obs = counts / N
     start = (counts + options.smoothing) / (N + options.smoothing * n_cells)
     # positive start masses, and every accepted trial has finite merit, so
@@ -589,11 +653,11 @@ def _without_link(graph, link):
     return replace(graph, arcs=tuple(a for a in graph.arcs if a != (u, v)))
 
 
-def _evaluate(graph, table, options) -> Candidate:
+def _evaluate(graph, table, options, cache) -> Candidate:
     """Fit one candidate; a failing fit is recorded in the candidate, not raised."""
     try:
         system = scgm_constraint_system(graph, table.variables)
-        fit = fit_constrained(table, system, options).summary()
+        fit = fit_constrained(table, system, options, cache=cache).summary()
     except (ScgmError, np.linalg.LinAlgError, ValueError) as exc:
         return Candidate(graph, table.variables, None, f"{type(exc).__name__}: {exc}")
     return Candidate(graph, table.variables, fit, None)
@@ -686,6 +750,8 @@ def model_search(
     """
     if criterion not in ("max-aic", "min-aic"):
         raise StatementError(f"unknown selection criterion {criterion!r}")
+    if not 0.0 < alpha < 1.0:
+        raise StatementError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if skeleton.strata:
         raise StatementError("model search starts from a stratum-free skeleton")
     options = options or FitOptions()
@@ -694,9 +760,11 @@ def model_search(
     if problems:
         raise StatementError("; ".join(problems))
 
+    # compiles share one cache for this search only
+    cache = EventCache(variables)
     links = _links(skeleton)
     step1 = tuple(
-        (link, _evaluate(_without_link(skeleton, link), table, options))
+        (link, _evaluate(_without_link(skeleton, link), table, options, cache))
         for link in links
     )
     removable = [link for link, c in step1 if c.passes(alpha)]
@@ -705,12 +773,12 @@ def model_search(
     step2 = []
     for restored in [None] + removable:
         g = reduce(_without_link, [l for l in removable if l != restored], skeleton)
-        step2.append((restored, _evaluate(g, table, options)))
+        step2.append((restored, _evaluate(g, table, options, cache)))
     selected = _pick([c for _, c in step2], criterion, alpha)
     if selected is None:
         # nothing fits acceptably; fall back to the skeleton itself, which
         # the joint removal already fitted when no link was removable
-        skeleton_fit = step2[0][1] if not removable else _evaluate(skeleton, table, options)
+        skeleton_fit = step2[0][1] if not removable else _evaluate(skeleton, table, options, cache)
         step2.append(("all", skeleton_fit))
         selected = len(step2) - 1
     base = step2[selected][1]
@@ -724,7 +792,7 @@ def model_search(
             "not_retained_jointly" if link in removable else "single_removal_rejected"
         )
         tried = tuple(
-            (st, _evaluate(g, table, options))
+            (st, _evaluate(g, table, options, cache))
             for st, g in _stratum_candidates(base.graph, link, variables)
         )
         chosen = _pick([c for _, c in tried], criterion, alpha)
@@ -735,7 +803,7 @@ def model_search(
     # the final graph is fitted again rather than kept from its candidate
     # fit: the search holds only summaries, so memory stays flat
     final_fit = fit_constrained(
-        table, scgm_constraint_system(base.graph, variables), options
+        table, scgm_constraint_system(base.graph, variables), options, cache=cache
     )
     return SearchTrace(
         variables=variables,

@@ -141,11 +141,13 @@ def validate(graph: StratifiedChainGraph, variables=None):
 
     spec_by = {s.name: s for s in variables} if variables else {}
     for s in graph.strata:
-        problems.extend(_validate_stratum(graph, membership, s, spec_by))
+        problems.extend(_validate_stratum(graph, membership, out, s, spec_by))
     return problems
 
 
-def _validate_stratum(graph, membership, s, spec_by):
+def _validate_stratum(graph, membership, out, s, spec_by):
+    """Problems of one stratum; ``out`` is the component digraph ``validate``
+    built, which leaves out arcs on undeclared vertices."""
     problems = []
     g, d = s.pair
     label = f"stratum ({g},{d})"
@@ -180,13 +182,13 @@ def _validate_stratum(graph, membership, s, spec_by):
 
     same = membership[g] == membership[d]
     if same:
-        allowed = set(parents_of_component(graph, membership[g]))
+        allowed = set(_parents(graph, out, membership[g]))
         scope = "the component's covariate set"
     else:
         # orient so gamma sits downstream of delta's component
-        if membership[g] in _reachable_components(graph, membership[d]):
+        if membership[g] in _reachable(out, membership[d]):
             down = g
-        elif membership[d] in _reachable_components(graph, membership[g]):
+        elif membership[d] in _reachable(out, membership[g]):
             down = d
         else:
             problems.append(
@@ -195,7 +197,7 @@ def _validate_stratum(graph, membership, s, spec_by):
             down = None
         if down is not None:
             other = d if down == g else g
-            pa = set(parents_of_component(graph, membership[down]))
+            pa = set(_parents(graph, out, membership[down]))
             if other not in pa:
                 problems.append(
                     f"{label}: {other} is not a covariate of {down}'s component"
@@ -293,7 +295,10 @@ def chain_components(graph):
 
 
 def _reachable_components(graph, name):
-    _, out = _component_digraph(graph)
+    return _reachable(_component_digraph(graph)[1], name)
+
+
+def _reachable(out, name):
     seen = set()
     stack = [name]
     while stack:
@@ -307,7 +312,10 @@ def _reachable_components(graph, name):
 
 def parents_of_component(graph, name):
     """Vertices of every component sending at least one arc into ``name``."""
-    membership, out = _component_digraph(graph)
+    return _parents(graph, _component_digraph(graph)[1], name)
+
+
+def _parents(graph, out, name):
     senders = [n for n in out if name in out[n]]
     verts = []
     for n in senders:

@@ -5,6 +5,7 @@ codes, stdout, and the files written into a temp directory.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,17 @@ def test_validate_rejects_a_duplicate_component_name(tmp_path, capsys):
     path.write_text("component A = {1,2}\ncomponent A = {3}\n", encoding="utf-8")
     assert main(["validate", "--graph", str(path)]) == 1
     assert "component A declared twice" in capsys.readouterr().out
+
+
+def test_validate_reports_an_arc_to_an_undeclared_vertex(tmp_path, capsys):
+    path = tmp_path / "undeclared.graph"
+    path.write_text(
+        "component A = {1}\ncomponent B = {2,3}\narc 1 -> 9\nstratum (1,2) | {} = {()}\n",
+        encoding="utf-8",
+    )
+    assert main(["validate", "--graph", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "arc 1 -> 9 uses an undeclared vertex" in out
 
 
 @pytest.mark.parametrize(
@@ -272,6 +284,25 @@ def test_fit_iteration_cap_exits_three(workdir, capsys):
     assert fit["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-iterations", "0"], "max_iterations must be positive and finite, got 0"),
+        (["--smoothing", "-1"], "smoothing must be positive and finite, got -1.0"),
+        (["--smoothing", "nan"], "smoothing must be positive and finite, got nan"),
+    ],
+    ids=["max-iterations-0", "smoothing-negative", "smoothing-nan"],
+)
+def test_fit_rejects_a_bad_option(workdir, tmp_path, capsys, flags, message):
+    code = main(
+        ["fit", "--table", str(workdir / "chain.csv"),
+         "--graph", str(workdir / "true.graph"), "--out", str(tmp_path / "o"), *flags]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_variable_mismatch_is_a_domain_error(workdir, tmp_path, capsys):
     vs = (VariableSpec("a", 2), VariableSpec("b", 2))
     t = ContingencyTable(vs, [5.0, 7.0, 11.0, 13.0])
@@ -369,6 +400,19 @@ def test_search_text_renders_step2_statements_in_table_order(tmp_path, capsys):
         assert row.endswith("  " + statements)
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_search_rejects_an_alpha_outside_the_unit_interval(workdir, tmp_path, capsys, alpha):
+    code = main(
+        ["search", "--table", str(workdir / "chain.csv"),
+         "--graph", str(workdir / "complete.graph"), "--out", str(tmp_path / "o"),
+         "--alpha", alpha]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must lie strictly between 0 and 1")
+    assert not (tmp_path / "o").exists()
+
+
 def test_search_rejects_a_skeleton_with_strata(workdir, tmp_path, capsys):
     path = tmp_path / "strat.graph"
     path.write_text(
@@ -401,6 +445,16 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert "scgm" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "scgm", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("scgm ")
 
 
 def test_unknown_subcommand_exits_two():

@@ -12,10 +12,12 @@ import scipy.special
 
 from scgm.cli import RunConfig, _search_text
 from scgm.constraints import generate_constraints, parse_statement
-from scgm.errors import StatementError, ZeroMassSliceError
+import scgm.fitting
+from scgm.errors import OptionError, StatementError, ZeroMassSliceError
 from scgm.fitting import (
     AIC_FORMULA,
     BIC_FORMULA,
+    EventCache,
     FitOptions,
     FitResult,
     chisq_sf,
@@ -31,7 +33,7 @@ from scgm.fitting import (
 )
 from scgm.graphs import Stratum, load_graph, parse_graph, render_graph, stratified_markov
 from scgm.oracle import random_positive
-from scgm.params import param_value
+from scgm.params import event_table, param_value
 from scgm.regression import scgm_constraint_system
 from scgm.tables import ContingencyTable, VariableSpec, load_table
 
@@ -187,6 +189,54 @@ def test_plant_and_fit_reaches_zero_deviance():
         assert res.converged
         assert res.G2 < 1e-6
         assert all(abs(v) < 1e-6 for v in res.eta_hat.values())
+
+
+def reference_compile(variables, system):
+    """A, C and P built event by event from ``event_table``, without a cache."""
+    shape = tuple(s.cardinality for s in variables)
+    names = [s.name for s in variables]
+    events, terms = event_table(variables, system.indices)
+    A = np.empty((len(events), int(np.prod(shape))))
+    for pos, (margin, levels) in enumerate(events):
+        pinned = dict(zip(margin, levels))
+        indicator = np.zeros(shape)
+        indicator[np.ix_(*(
+            np.array(pinned[n]) - 1 if n in pinned else np.arange(k)
+            for n, k in zip(names, shape)
+        ))] = 1.0
+        A[pos] = indicator.ravel()
+    P = np.zeros((len(system.indices), len(events)))
+    for i, row in enumerate(terms):
+        for pos, sign in row:
+            P[i, pos] = sign
+    index_pos = {idx: i for i, idx in enumerate(system.indices)}
+    C_idx = np.zeros((len(system.rows), len(system.indices)))
+    for r, row in enumerate(system.rows):
+        for term in row.terms:
+            C_idx[r, index_pos[term.index]] += term.coef
+    return A, C_idx @ P, P
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def test_compile_system_matches_the_reference_compile():
+    system = scgm_constraint_system(FIG_A, V5)
+    compiled = compile_system(V5, system)
+    assert_same_arrays((compiled.A, compiled.C, compiled.P), reference_compile(V5, system))
+
+
+def test_compile_system_rejects_a_cache_for_other_variables():
+    system = scgm_constraint_system(FIG_A, V5)
+    other = (VariableSpec("1", 3),) + V5[1:]
+    with pytest.raises(ValueError, match="other variables"):
+        compile_system(V5, system, EventCache(other))
+    table = ContingencyTable(V5, 10000.0 * planted_fig_a(0))
+    with pytest.raises(ValueError, match="other variables"):
+        fit_constrained(table, system, cache=EventCache(V5[::-1]))
 
 
 def test_compiled_parameters_match_param_value():
@@ -430,10 +480,61 @@ def test_search_trace_is_deterministic_and_refits():
     assert doc["final_fit"]["schema"] == "scgm-fit/1"
 
 
+def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch):
+    compile_cached = scgm.fitting.compile_system
+    calls = []
+
+    def capture(variables, system, cache=None):
+        compiled = compile_cached(variables, system, cache)
+        calls.append((variables, system, cache, compiled))
+        return compiled
+
+    monkeypatch.setattr(scgm.fitting, "compile_system", capture)
+    model_search(table_with_context_specific_absence(), SKEL4)
+    assert len(calls) > 10
+    assert len({id(cache) for _, _, cache, _ in calls}) == 1
+    assert calls[0][2] is not None
+    for variables, system, _, compiled in calls:
+        fresh = compile_cached(variables, system)
+        got = (compiled.A, compiled.C, compiled.P)
+        assert_same_arrays(got, (fresh.A, fresh.C, fresh.P))
+        assert_same_arrays(got, reference_compile(variables, system))
+
+
+def test_each_search_starts_an_empty_cache(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return event_table(*args, **kwargs)
+
+    monkeypatch.setattr(scgm.fitting, "event_table", counting)
+    table = table_with_context_specific_absence()
+    model_search(table, SKEL4)
+    first = len(calls)
+    model_search(table, SKEL4)
+    assert first > 0
+    assert len(calls) == 2 * first
+    # one walk per distinct parameter index of the search
+    assert len({idx for (idx,) in calls[:first]}) == first
+
+
+def test_fit_options_reject_values_that_are_not_positive_and_finite():
+    for field in ("constraint_tolerance", "gradient_tolerance", "smoothing"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(OptionError, match=field):
+                FitOptions(**{field: value})
+    with pytest.raises(ValueError, match="max_iterations"):
+        FitOptions(max_iterations=0)
+
+
 def test_search_input_validation():
     table = table_first_source_irrelevant()
     with pytest.raises(StatementError):
         model_search(table, CHAIN3, criterion="best")
+    for alpha in (0.0, 1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(StatementError, match="alpha"):
+            model_search(table, CHAIN3, alpha=alpha)
     with pytest.raises(StatementError):
         model_search(table, PLANTED4)
 

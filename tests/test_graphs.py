@@ -250,6 +250,17 @@ def test_duplicate_component_name_is_a_problem():
         stratified_markov(g)
 
 
+def test_arc_to_an_undeclared_vertex_is_a_problem_not_a_crash():
+    # stratum checks used to rebuild the component digraph, whose arcs on
+    # undeclared vertices raised KeyError
+    g = parse_graph(
+        "component A = {1}\ncomponent B = {2,3}\narc 1 -> 9\nstratum (1,2) | {} = {()}\n"
+    )
+    problems = validate(g)
+    assert "arc 1 -> 9 uses an undeclared vertex" in problems
+    assert "stratum (1,2): pair spans components with no parent relation" in problems
+
+
 def test_edge_across_components():
     g = parse_graph("component T1 = {1}\ncomponent T2 = {2}\nedge 1 -- 2\n")
     assert any("crosses components" in p for p in validate(g))
