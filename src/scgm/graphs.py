@@ -294,11 +294,8 @@ def chain_components(graph):
     return tuple((n, dict(graph.components)[n]) for n in order)
 
 
-def _reachable_components(graph, name):
-    return _reachable(_component_digraph(graph)[1], name)
-
-
 def _reachable(out, name):
+    """Components reachable from ``name`` in the component digraph ``out``."""
     seen = set()
     stack = [name]
     while stack:
@@ -325,7 +322,7 @@ def _parents(graph, out, name):
 
 def non_descendants(graph, name):
     """Vertices of components unreachable from ``name`` by directed paths."""
-    reach = _reachable_components(graph, name) | {name}
+    reach = _reachable(_component_digraph(graph)[1], name) | {name}
     verts = []
     for n, members in graph.components:
         if n not in reach:

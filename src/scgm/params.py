@@ -19,8 +19,9 @@ parameter's signed terms over them.  Every evaluator reads it.
 ``param_values`` (hence ``param_value``, ``param_vector`` and
 ``constraints.evaluate_system``) marginalizes each margin once and sums
 each event's slice of the marginal array once; ``fitting.compile_system``
-turns the same table into a dense 0/1 event-by-cell matrix A, which the
-solver needs for its Jacobian anyway.  One-off evaluation keeps slice
+turns the same table, read one index at a time through a cache, into a
+dense 0/1 event-by-cell matrix A, which the solver needs for its Jacobian
+anyway.  One-off evaluation keeps slice
 sums: dense per-margin event-by-cell blocks for the 2187-cell fig4
 parameter vector raised peak memory by about a fifth on a 2-vCPU Xeon
 (146 MB to 181 MB in the benchmark's fit-dense workload, 125 MB to
@@ -173,6 +174,10 @@ def event_table(variables, indices, context=None):
     variable in declaration order; ``terms[i]`` lists the (event position,
     sign) pairs of ``indices[i]`` in signed-event order.  ``context`` pins
     non-effect margin variables as in ``signed_events``, for every index.
+
+    ``fitting.EventCache`` calls it one index at a time and numbers the
+    events across a whole model search; a compile then puts its events
+    back in the first-seen order this function gives for all its indices.
     """
     event_pos = {}
     terms = []
