@@ -299,8 +299,8 @@ class EventCache:
             events, (signed,) = event_table(self.variables, (idx,))
             ids = [self._event_id(key) for key in events]
             row = self._terms[idx] = (
-                np.array([ids[pos] for pos, _ in signed], dtype=np.intp),
-                np.array([sign for _, sign in signed]),
+                tuple(ids[pos] for pos, _ in signed),
+                tuple(sign for _, sign in signed),
             )
         return row
 
@@ -318,7 +318,7 @@ class EventCache:
             for s in self.variables:
                 levels = pinned.get(s.name, range(1, s.cardinality + 1))
                 flat = [f * s.cardinality + (l - 1) for f in flat for l in levels]
-            self._cells.append(np.array(flat, dtype=np.intp))
+            self._cells.append(tuple(flat))
         return eid
 
 
@@ -337,30 +337,26 @@ def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledS
     n_cells = math.prod(s.cardinality for s in variables)
     indices = system.indices
     terms = [cache.terms(idx) for idx in indices]
-    ids = _joined([row_ids for row_ids, _ in terms], np.intp)
-    signs = _joined([row_signs for _, row_signs in terms], float)
-    term_rows = np.repeat(np.arange(len(terms)), [row_ids.size for row_ids, _ in terms])
-    # distinct ids ranked by their first appearance among the terms
-    unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(unique), dtype=np.intp)
-    rank[order] = np.arange(len(unique))
-    cells = [cache.cells(eid) for eid in unique[order]]
-    A = np.zeros((len(cells), n_cells))
-    A[np.repeat(np.arange(len(cells)), [c.size for c in cells]), _joined(cells, np.intp)] = 1.0
-    P = np.zeros((len(indices), len(cells)))
-    P[term_rows, rank[inverse]] = signs  # an index's events are distinct
+    ids = [eid for row_ids, _ in terms for eid in row_ids]
+    # event id -> row of A, in first-seen order among the terms
+    pos = {eid: row for row, eid in enumerate(dict.fromkeys(ids))}
+    A = np.zeros((len(pos), n_cells))
+    A[
+        [row for row, eid in enumerate(pos) for _ in cache.cells(eid)],
+        [cell for eid in pos for cell in cache.cells(eid)],
+    ] = 1.0
+    P = np.zeros((len(indices), len(pos)))
+    # an index's events are distinct, so no entry is written twice
+    P[
+        [i for i, (row_ids, _) in enumerate(terms) for _ in row_ids],
+        [pos[eid] for eid in ids],
+    ] = [sign for _, signs in terms for sign in signs]
     index_pos = {idx: i for i, idx in enumerate(indices)}
     C_idx = np.zeros((len(system.rows), len(indices)))
     for r, row in enumerate(system.rows):
         for term in row.terms:
             C_idx[r, index_pos[term.index]] += term.coef
     return CompiledSystem(variables, indices, A, C_idx @ P, P)
-
-
-def _joined(arrays, dtype):
-    """The arrays end to end; empty when there are none."""
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
 
 @dataclass(frozen=True)
