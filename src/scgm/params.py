@@ -21,11 +21,11 @@ parameter's signed terms over them.  Every evaluator reads it.
 each event's slice of the marginal array once; ``fitting.compile_system``
 turns the same table, read one index at a time through a cache, into a
 dense 0/1 event-by-cell matrix A, which the solver needs for its Jacobian
-anyway.  One-off evaluation keeps slice
-sums: dense per-margin event-by-cell blocks for the 2187-cell fig4
-parameter vector raised peak memory by about a fifth on a 2-vCPU Xeon
-(146 MB to 181 MB in the benchmark's fit-dense workload, 125 MB to
-152 MB for a fit plus param_vector alone).
+anyway.  One-off evaluation keeps slice sums: dense per-margin
+event-by-cell blocks for the 2187-cell fig4 parameter vector raised peak
+memory by about a fifth on a 2-vCPU Xeon (146 MB to 181 MB in the
+benchmark's fit-dense workload, 125 MB to 152 MB for a fit plus
+param_vector alone).
 """
 
 from __future__ import annotations
