@@ -37,10 +37,15 @@ minimum-norm correction that puts it on {u : J diag(1/s) u = -h}, mapped
 back by 1/s.  The rank-one term -pi pi^T of the Fisher information is left out:
 it moves the step along the all-ones direction, which the softmax
 ignores, up to terms of relative size 1e-12/pi.  The rows of
-J diag(1/s) are scaled to unit norm before one least-squares solve,
-which gives the correction, the multipliers and the pseudo-inverse; one
-refinement step with the pseudo-inverse restores J dx = -h where a
-collapsing cell makes the gradient and its correction cancel.
+J diag(1/s) are scaled to unit norm and its transpose is factored once
+per step by a thin QR, Q T.  Triangular R x R solves with T then give the
+correction, the multipliers and one refinement step that restores
+J dx = -h where a collapsing cell makes the gradient and its correction
+cancel; no K x R pseudo-inverse is formed.  A rank-deficient T is
+applied through pinv(T^T) instead, with the cutoff lstsq uses, which
+gives lstsq's minimum-norm answer.  On a 2187-cell fit (R = 468) this cut
+the step from about 0.36 s, for an lstsq with the identity as R extra
+right-hand sides, to about 0.17 s on a 2-vCPU Xeon with one BLAS thread.
 
 Two simpler forms fail near the boundary.  The R x R normal equations
 B diag(pi) B^T lam = B g + h square the conditioning and leave fits with
@@ -402,15 +407,23 @@ def _kkt(compiled, p_obs, point, lam):
 
 
 def _projection_step(B, pi, g, h):
-    """Newton step (dx, lam) on the logits, from an R x K least squares.
+    """Newton step (dx, lam) on the logits, from a thin QR of the R x K Jt.
 
     Solves (diag(pi) + RIDGE I) dx + J^T lam = g, J dx = -h for
     J = B diag(pi): in the coordinates u = s dx, s = sqrt(pi + RIDGE), the
     step is q = g / s plus the minimum-norm w with Jt w = -h - Jt q, where
     Jt = J diag(1/s), and lam solves Jt^T lam = -w.  Rows of Jt and the
-    right-hand side are scaled to unit norm; one least-squares solve with
-    the identity as extra right-hand sides gives w and pinv(Jt), hence lam
-    and a refinement step on the linearised constraints.
+    right-hand side are scaled to unit norm.
+
+    The reduced QR Jt^T = Q T (Q of K x R with orthonormal columns, T upper
+    triangular) gives pinv(Jt) = Q T^-T, so w = Q y for y = T^-T rhs and,
+    as Q^T w = y, lam = -T^-1 y; one more T^-T solve on the residual of
+    J dx = -h refines dx.  Each is an R x R solve; no K x R pseudo-inverse
+    is formed.  T is taken as rank-deficient when R > K or
+    min |t_ii| <= eps max(R, K) max |t_ii|; T^-T is then replaced by
+    pinv(T^T) with the cutoff lstsq uses, singular values at or below
+    eps max(R, K) times the largest.  Jt and T^T share their singular
+    values, so that is lstsq's minimum-norm answer.
     """
     s = np.sqrt(pi + RIDGE)
     Jt = B * (pi / s)[None, :]
@@ -420,15 +433,27 @@ def _projection_step(B, pi, g, h):
     norms[norms == 0.0] = 1.0
     Jt /= norms[:, None]
     rhs /= norms
-    R = rhs.size
-    sol, *_ = np.linalg.lstsq(Jt, np.column_stack([rhs, np.eye(R)]), rcond=None)
-    w, pinv = sol[:, 0], sol[:, 1:]
-    lam = -(pinv.T @ w) / norms
-    dx = (q + w) / s
+    Q, T = np.linalg.qr(Jt.T)
+    diag = np.abs(np.diagonal(T))
+    rtol = np.finfo(float).eps * max(Jt.shape)
+    if T.shape[0] == T.shape[1] and diag.min() > rtol * diag.max():
+
+        def inverse_t(v):  # T^-T v
+            return np.linalg.solve(T.T, v)
+
+        def inverse(v):  # T^-1 v
+            return np.linalg.solve(T, v)
+
+    else:
+        T_pinv = np.linalg.pinv(T.T, rtol=rtol)
+        inverse_t, inverse = T_pinv.__matmul__, T_pinv.T.__matmul__
+    y = inverse_t(rhs)
+    lam = -inverse(y) / norms
+    dx = (q + Q @ y) / s
     # one step of refinement on J dx = -h: where a cell's mass nears zero, q
     # and w are large and cancel in q + w, leaving J dx off by far more than h
     residual = (-h - B @ (pi * dx)) / norms
-    dx += (pinv @ residual) / s
+    dx += (Q @ inverse_t(residual)) / s
     return dx, lam
 
 

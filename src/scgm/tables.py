@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,11 +412,24 @@ def dump_table_json(table: ContingencyTable) -> str:
 
 
 def load_table(source, format: str = "csv") -> ContingencyTable:
-    """Parse a table from text, bytes, or a readable stream."""
-    if hasattr(source, "read"):
+    """Parse a table from a path, text, bytes, or a readable stream.
+
+    An ``os.PathLike`` (such as a ``pathlib.Path``) is read as a UTF-8
+    file.  A ``str`` is always the table's text, never a file name; bytes
+    are decoded as UTF-8.  Any other source is a TableFormatError.
+    """
+    if isinstance(source, os.PathLike):
+        with open(source, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    elif hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
+    if not isinstance(source, str):
+        raise TableFormatError(
+            f"cannot read a table from {type(source).__name__}: "
+            "expected a path, text, bytes or a readable stream"
+        )
     if format == "csv":
         return load_table_csv(source)
     if format == "json":

@@ -23,12 +23,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    return write_chain_inputs(tmp_path_factory.mktemp("cli"))
+
+
+def write_chain_inputs(root):
     """Chain table over three binary variables plus graph specs for it.
 
     The generating distribution factors as p(1) p(2|1) p(3|2), so the
     arc 1 -> 3 of the complete ordering is superfluous.
     """
-    root = tmp_path_factory.mktemp("cli")
     vs = (VariableSpec("1", 2), VariableSpec("2", 2), VariableSpec("3", 2))
     p1 = np.array([0.6, 0.4])
     p2g1 = np.array([[0.8, 0.2], [0.3, 0.7]])

@@ -627,26 +627,46 @@ def dense_kkt_step(J, pi, g, h):
     return sol[:K], sol[K:]
 
 
-@pytest.mark.parametrize("case", ["sparse288", "planted128"])
-def test_projection_step_matches_the_dense_kkt_step(case):
-    if case == "sparse288":
-        table, graph = golden_table("fig4_sparse288_0.csv"), FIG4
-    else:
+@pytest.mark.parametrize("case", ["sparse288", "planted128", "sparse288-repeated-row"])
+def test_projection_step_matches_the_dense_kkt_step(case, monkeypatch):
+    if case == "planted128":
         table, graph = golden_table("planted128_2.csv"), search_candidate()
+    else:
+        table, graph = golden_table("fig4_sparse288_0.csv"), FIG4
+    repeated = case.endswith("repeated-row")
     compiled = compile_system(table.variables, scgm_constraint_system(graph, table.variables))
     counts = np.asarray(table.counts, dtype=float)
     N = counts.sum()
+    pinv_calls = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(*args, **kwargs):
+        pinv_calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     # the solver's starting point, then full reference steps
     x = np.log((counts + 0.5) / (N + 0.5 * counts.size))
     for _ in range(3):
         point = _point(compiled, counts / N, x)
         pi, h = point.pi, point.h
         B = _centred_jacobian(compiled, point)
+        if repeated:
+            # the first row once more: J has rank R - 1
+            B, h = np.vstack([B, B[:1]]), np.append(h, h[0])
         g = counts / N - pi
         dx_ref, lam_ref = dense_kkt_step(B * pi, pi, g, h)
         dx, lam = _projection_step(B, pi, g, h)
         # steps that differ along the all-ones direction move pi alike
         centred = np.abs((dx - pi @ dx) - (dx_ref - pi @ dx_ref))
         assert centred.max() < 1e-7
-        assert np.abs(lam - lam_ref).max() < 1e-10
+        if repeated:
+            # lam is not unique there, J^T lam is
+            J = B * pi
+            assert np.abs(J.T @ lam - J.T @ lam_ref).max() < 1e-10
+        else:
+            assert np.abs(lam - lam_ref).max() < 1e-10
         x = x + dx_ref
+    # only the rank-deficient steps go through pinv(T^T)
+    R = h.size
+    assert pinv_calls == ([(R, R)] * 3 if repeated else [])

@@ -42,6 +42,22 @@ def test_load_csv_totals():
     assert list(table.counts) == [10, 20, 30, 40]
 
 
+def test_load_table_reads_a_path_text_bytes_and_streams(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(CSV_2X2, encoding="utf-8")
+    with open(path, encoding="utf-8") as text_stream, open(path, "rb") as byte_stream:
+        sources = [path, CSV_2X2, CSV_2X2.encode("utf-8"), text_stream, byte_stream]
+        tables = [load_table(source, "csv") for source in sources]
+    for table in tables:
+        assert list(table.counts) == [10, 20, 30, 40]
+    # a str is the table's text, never a file name
+    with pytest.raises(TableFormatError, match="header"):
+        load_table(str(path), "csv")
+    for source in (None, 42, [CSV_2X2]):
+        with pytest.raises(TableFormatError, match="cannot read a table"):
+            load_table(source, "csv")
+
+
 def test_duplicate_cell_rejected():
     bad = CSV_2X2 + "cell:1,1,5\n"
     with pytest.raises(DuplicateCellError):
