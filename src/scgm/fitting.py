@@ -38,14 +38,15 @@ back by 1/s.  The rank-one term -pi pi^T of the Fisher information is left out:
 it moves the step along the all-ones direction, which the softmax
 ignores, up to terms of relative size 1e-12/pi.  The rows of
 J diag(1/s) are scaled to unit norm and its transpose is factored once
-per step by a thin QR, Q T.  Triangular R x R solves with T then give the
+per step by a thin QR, Q T.  The R x R inverse of T^T then gives the
 correction, the multipliers and one refinement step that restores
 J dx = -h where a collapsing cell makes the gradient and its correction
-cancel; no K x R pseudo-inverse is formed.  A rank-deficient T is
-applied through pinv(T^T) instead, with the cutoff lstsq uses, which
-gives lstsq's minimum-norm answer.  On a 2187-cell fit (R = 468) this cut
+cancel; no K x R pseudo-inverse is formed.  When T's diagonal shows it
+rank-deficient, pinv(T^T) with the cutoff lstsq uses takes the inverse's
+place; that equals lstsq's minimum-norm answer whenever the diagonal test
+agrees with the SVD rank.  On a 2187-cell fit (R = 468) this cut
 the step from about 0.36 s, for an lstsq with the identity as R extra
-right-hand sides, to about 0.17 s on a 2-vCPU Xeon with one BLAS thread.
+right-hand sides, to about 0.15 s on a 2-vCPU Xeon with one BLAS thread.
 
 Two simpler forms fail near the boundary.  The R x R normal equations
 B diag(pi) B^T lam = B g + h square the conditioning and leave fits with
@@ -417,13 +418,17 @@ def _projection_step(B, pi, g, h):
 
     The reduced QR Jt^T = Q T (Q of K x R with orthonormal columns, T upper
     triangular) gives pinv(Jt) = Q T^-T, so w = Q y for y = T^-T rhs and,
-    as Q^T w = y, lam = -T^-1 y; one more T^-T solve on the residual of
-    J dx = -h refines dx.  Each is an R x R solve; no K x R pseudo-inverse
-    is formed.  T is taken as rank-deficient when R > K or
-    min |t_ii| <= eps max(R, K) max |t_ii|; T^-T is then replaced by
-    pinv(T^T) with the cutoff lstsq uses, singular values at or below
-    eps max(R, K) times the largest.  Jt and T^T share their singular
-    values, so that is lstsq's minimum-norm answer.
+    as Q^T w = y, lam = -T^-1 y; T^-T applied to the residual of J dx = -h
+    refines dx.  T^-T is formed once, as a general R x R inverse (numpy has
+    no triangular solver); no K x R pseudo-inverse is formed.  T is taken
+    as rank-deficient when R > K or min |t_ii| <= eps max(R, K) max |t_ii|;
+    T^-T is then replaced by pinv(T^T) with the cutoff lstsq uses, singular
+    values at or below eps max(R, K) times the largest.  Jt and T^T share
+    their singular values, so the step equals lstsq's minimum-norm answer
+    whenever the diagonal test agrees with the SVD rank.  The diagonal of
+    an unpivoted QR does not bound the smallest singular value, so a T that
+    passes the test can still be below lstsq's cutoff; the inverse then
+    keeps a direction lstsq would drop.
     """
     s = np.sqrt(pi + RIDGE)
     Jt = B * (pi / s)[None, :]
@@ -437,23 +442,16 @@ def _projection_step(B, pi, g, h):
     diag = np.abs(np.diagonal(T))
     rtol = np.finfo(float).eps * max(Jt.shape)
     if T.shape[0] == T.shape[1] and diag.min() > rtol * diag.max():
-
-        def inverse_t(v):  # T^-T v
-            return np.linalg.solve(T.T, v)
-
-        def inverse(v):  # T^-1 v
-            return np.linalg.solve(T, v)
-
-    else:
-        T_pinv = np.linalg.pinv(T.T, rtol=rtol)
-        inverse_t, inverse = T_pinv.__matmul__, T_pinv.T.__matmul__
-    y = inverse_t(rhs)
-    lam = -inverse(y) / norms
+        Tt_inv = np.linalg.inv(T.T)
+    else:  # the cutoff goes by position: it is rcond on numpy 1.x, rtol on 2.x
+        Tt_inv = np.linalg.pinv(T.T, rtol)
+    y = Tt_inv @ rhs
+    lam = -(Tt_inv.T @ y) / norms
     dx = (q + Q @ y) / s
     # one step of refinement on J dx = -h: where a cell's mass nears zero, q
     # and w are large and cancel in q + w, leaving J dx off by far more than h
     residual = (-h - B @ (pi * dx)) / norms
-    dx += (Q @ inverse_t(residual)) / s
+    dx += (Q @ (Tt_inv @ residual)) / s
     return dx, lam
 
 

@@ -11,9 +11,9 @@ whether every field that is not a float is equal (keys, list lengths,
 ints, strings, bools, nulls), and, for each float field, the largest
 absolute and relative difference over its occurrences.  A field is named
 by its JSON path with list positions dropped, so ``pi_hat[]`` covers every
-cell.  The outputs are built from the same inputs and in the same way as
-in test_fitting.py and test_cli.py.  The exit status is 0 when every file
-matches byte for byte or was written, 1 otherwise.
+cell.  The outputs come from the helpers that the golden tests in
+test_fitting.py and test_cli.py compare with the files.  The exit status
+is 0 when every file matches byte for byte or was written, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,54 +29,14 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
-from scgm.cli import main  # noqa: E402
-from scgm.fitting import fit_constrained, fit_to_json, model_search, trace_to_json  # noqa: E402
-from scgm.regression import scgm_constraint_system  # noqa: E402
-from test_cli import write_chain_inputs  # noqa: E402
-from test_fitting import (  # noqa: E402
-    FIG4,
-    GOLDEN,
-    SKEL4,
-    golden_table,
-    planted128_0_candidate,
-    table_with_context_specific_absence,
-)
-
-
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _fit(table_name, graph):
-    table = golden_table(table_name)
-    system = scgm_constraint_system(graph, table.variables)
-    return _dump(fit_to_json(fit_constrained(table, system), system))
-
-
-def _search_skel4():
-    return _dump(trace_to_json(model_search(table_with_context_specific_absence(), SKEL4)))
-
-
-def _search_chain3():
-    with tempfile.TemporaryDirectory() as tmp:
-        root = write_chain_inputs(Path(tmp))
-        out = root / "out"
-        argv = ["search", "--table", str(root / "chain.csv"),
-                "--graph", str(root / "complete.graph"), "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = main(argv)
-        if status != 0:
-            raise RuntimeError("scgm search failed on the chain table")
-        trace = json.loads((out / "search.json").read_text(encoding="utf-8"))
-    del trace["run"]
-    return _dump(trace)
-
+from test_cli import chain_search_text, write_chain_inputs  # noqa: E402
+from test_fitting import GOLDEN, golden_fit_text, golden_skel4_text  # noqa: E402
 
 GOLDENS = {
-    "fit_fig4_sparse288_0.json": lambda: _fit("fig4_sparse288_0.csv", FIG4),
-    "fit_planted128_0.json": lambda: _fit("planted128_0.csv", planted128_0_candidate()),
-    "search_skel4.json": _search_skel4,
-    "search_chain3.json": _search_chain3,
+    "fit_fig4_sparse288_0.json": lambda tmp: golden_fit_text("fig4_sparse288_0"),
+    "fit_planted128_0.json": lambda tmp: golden_fit_text("planted128_0"),
+    "search_skel4.json": lambda tmp: golden_skel4_text(),
+    "search_chain3.json": lambda tmp: chain_search_text(write_chain_inputs(tmp)),
 }
 
 
@@ -127,7 +87,8 @@ def run(argv=None) -> int:
     all_same = True
     for name, produce in GOLDENS.items():
         path = GOLDEN / name
-        new_text = produce()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            new_text = produce(Path(tmp))
         all_same &= report(name, path.read_text(encoding="utf-8"), new_text)
         if args.write:
             path.write_text(new_text, encoding="utf-8")

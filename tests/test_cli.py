@@ -354,16 +354,21 @@ def test_search_reruns_byte_identically(workdir, capsys):
     assert set(first) == {"search.json", "search.txt"}
 
 
-def test_search_json_matches_the_golden_trace(workdir, capsys):
-    out_dir = workdir / "search-golden"
+def chain_search_text(root):
+    """The trace pinned by golden/search_chain3.json, as written there: the
+    search.json of ``scgm search`` on root's chain inputs, without its run block."""
+    out_dir = root / "search-golden"
     assert main(
-        ["search", "--table", str(workdir / "chain.csv"),
-         "--graph", str(workdir / "complete.graph"), "--out", str(out_dir)]
+        ["search", "--table", str(root / "chain.csv"),
+         "--graph", str(root / "complete.graph"), "--out", str(out_dir)]
     ) == 0
     trace = json.loads((out_dir / "search.json").read_text(encoding="utf-8"))
     del trace["run"]
-    text = json.dumps(trace, indent=2, sort_keys=True) + "\n"
-    assert text == (GOLDEN / "search_chain3.json").read_text(encoding="utf-8")
+    return json.dumps(trace, indent=2, sort_keys=True) + "\n"
+
+
+def test_search_json_matches_the_golden_trace(workdir, capsys):
+    assert chain_search_text(workdir) == (GOLDEN / "search_chain3.json").read_text(encoding="utf-8")
 
 
 def test_search_text_renders_step2_statements_in_table_order(tmp_path, capsys):

@@ -455,10 +455,14 @@ def test_search_falls_back_to_the_skeleton_when_no_candidate_passes(monkeypatch)
     assert "\nskeleton kept (no candidate passed)  " in text
 
 
-def test_search_json_matches_the_golden_trace():
+def golden_skel4_text():
+    """The search trace pinned by golden/search_skel4.json, as written there."""
     trace = model_search(table_with_context_specific_absence(), SKEL4)
-    text = json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n"
-    assert text == (GOLDEN / "search_skel4.json").read_text(encoding="utf-8")
+    return json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n"
+
+
+def test_search_json_matches_the_golden_trace():
+    assert golden_skel4_text() == (GOLDEN / "search_skel4.json").read_text(encoding="utf-8")
 
 
 def test_search_trace_is_deterministic_and_refits():
@@ -604,16 +608,20 @@ def test_search_candidates_near_the_boundary_converge():
     assert res.G2 == pytest.approx(618.46454, abs=1e-5)
 
 
-@pytest.mark.parametrize("name", ["fig4_sparse288_0", "planted128_0"])
-def test_fit_json_matches_the_golden_fit(name):
-    # pins every number of the fit (pi_hat, eta_hat, kkt_residual, ...)
-    # bit for bit: a 10-iteration boundary fit and a 384-iteration creep
+def golden_fit_text(name):
+    """The fit pinned by golden/fit_<name>.json, as written there."""
     table = golden_table(f"{name}.csv")
     graph = FIG4 if name.startswith("fig4") else planted128_0_candidate()
     system = scgm_constraint_system(graph, table.variables)
     doc = fit_to_json(fit_constrained(table, system), system)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert text == (GOLDEN / f"fit_{name}.json").read_text(encoding="utf-8")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", ["fig4_sparse288_0", "planted128_0"])
+def test_fit_json_matches_the_golden_fit(name):
+    # pins every number of the fit (pi_hat, eta_hat, kkt_residual, ...)
+    # bit for bit: a 10-iteration boundary fit and a 384-iteration creep
+    assert golden_fit_text(name) == (GOLDEN / f"fit_{name}.json").read_text(encoding="utf-8")
 
 
 def dense_kkt_step(J, pi, g, h):
