@@ -199,7 +199,8 @@ def information_criteria(G2, df, n_cells, N):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration controls; all fields must be positive and finite."""
+    """Iteration controls; all fields must be positive and finite, and
+    ``max_iterations`` an integer (a numpy integer will do, a bool will not)."""
 
     max_iterations: int = 500
     constraint_tolerance: float = 1e-8
@@ -207,6 +208,9 @@ class FitOptions:
     smoothing: float = 0.5
 
     def __post_init__(self):
+        m = self.max_iterations
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise OptionError(f"max_iterations must be an integer, got {m!r}")
         for name in (
             "max_iterations",
             "constraint_tolerance",

@@ -110,12 +110,15 @@ class RegressionSystem:
 
     def coefficient(self, response_cell, covariate_cell=None) -> float:
         """Look up one coefficient; cells are mappings name -> level."""
-        key = _coefficient_key(self.variables, response_cell, covariate_cell)
+        names = variable_names(self.variables)
+        rmap, cmap = dict(response_cell), dict(covariate_cell or {})
+        A, t = _ordered(names, rmap), _ordered(names, cmap)
+        key = (A, tuple(rmap[n] for n in A), t, tuple(cmap[n] for n in t))
         try:
             return self.table[key]
         except KeyError:
             raise StatementError(
-                f"no coefficient for responses {key[0]} with covariates {key[2]} "
+                f"no coefficient for responses {A} with covariates {t} "
                 f"at cells {key[1]}, {key[3]}"
             ) from None
 
@@ -133,18 +136,20 @@ def _subsets(pool):
     return out
 
 
+def _coefficient_families(names, members, pa):
+    """(A, t, margin, effect, sign) of a component's coefficient families:
+    nonempty response sets A by covariate subsets t, in ``_subsets`` order."""
+    for A in _subsets(members)[1:]:
+        # without parents the whole component is the allocation margin
+        margin = _ordered(names, set(pa) | set(A)) if pa else tuple(members)
+        for t in _subsets(pa):
+            effect = _ordered(names, set(t) | set(A))
+            yield A, t, margin, effect, -1.0 if len(t) % 2 else 1.0
+
+
 def _param_cells(spec_by, vars_):
     ranges = [range(1, spec_by[v].cardinality) for v in vars_]
     return itertools.product(*ranges)
-
-
-def _coefficient_key(variables, response_cell, covariate_cell):
-    names = variable_names(variables)
-    rmap = dict(response_cell)
-    cmap = dict(covariate_cell) if covariate_cell else {}
-    A = _ordered(names, rmap)
-    t = _ordered(names, cmap)
-    return (A, tuple(rmap[n] for n in A), t, tuple(cmap[n] for n in t))
 
 
 def graph_allocation(graph: StratifiedChainGraph, variables) -> EffectAllocation:
@@ -178,7 +183,8 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
     names = variable_names(variables)
     spec_by = {s.name: s for s in variables}
 
-    standard = True
+    # every variable is a response of one component
+    standard = all(s.coding in ("baseline", "local") for s in variables)
     components = []
     table = {}
     for name, members in chain_components(graph):
@@ -193,39 +199,27 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
                     f"{spec_by[v].coding}-coded; regression covariates need "
                     "baseline or local coding"
                 )
-        if any(spec_by[v].coding not in ("baseline", "local") for v in members):
-            standard = False
 
         coeffs = []
-        for A in _subsets(members):
-            if not A:
-                continue
-            # without parents the whole component is the allocation margin
-            margin = _ordered(names, set(pa) | set(A)) if pa else tuple(members)
-            for t in _subsets(pa):
-                effect = _ordered(names, set(t) | set(A))
-                assigned = vec.allocation.assignment.get(effect)
-                if assigned is None or tuple(assigned) != margin:
-                    raise AllocationCoverageError(
-                        f"effect {effect} is allocated at {assigned}, not at "
-                        f"the component margin {margin}; the allocation must "
-                        "follow the graph's marginal sequence"
-                    )
-                sign = -1.0 if len(t) % 2 else 1.0
-                for i_t in _param_cells(spec_by, t):
-                    tmap = dict(zip(t, i_t))
-                    inner = _inner_context_terms(spec_by, t, tmap)
-                    for i_A in _param_cells(spec_by, A):
-                        amap = dict(zip(A, i_A))
-                        total = 0.0
-                        for cell in inner:
-                            idx = param_index(variables, margin, effect, {**cell, **amap})
-                            total += vec.values[idx]
-                        value = sign * total
-                        coeffs.append(
-                            RegressionCoefficient(A, t, i_t, i_A, value)
-                        )
-                        table[(A, i_A, t, i_t)] = value
+        for A, t, margin, effect, sign in _coefficient_families(names, members, pa):
+            assigned = vec.allocation.assignment.get(effect)
+            if assigned is None or tuple(assigned) != margin:
+                raise AllocationCoverageError(
+                    f"effect {effect} is allocated at {assigned}, not at "
+                    f"the component margin {margin}; the allocation must "
+                    "follow the graph's marginal sequence"
+                )
+            for i_t in _param_cells(spec_by, t):
+                inner = _inner_context_terms(spec_by, t, dict(zip(t, i_t)))
+                for i_A in _param_cells(spec_by, A):
+                    amap = dict(zip(A, i_A))
+                    total = 0.0
+                    for cell in inner:
+                        idx = param_index(variables, margin, effect, {**cell, **amap})
+                        total += vec.values[idx]
+                    value = sign * total
+                    coeffs.append(RegressionCoefficient(A, t, i_t, i_A, value))
+                    table[(A, i_A, t, i_t)] = value
         components.append(ComponentRegression(name, tuple(members), pa, tuple(coeffs)))
 
     mixed_idx = mixed_param_indices(graph, vec.allocation)
@@ -255,33 +249,25 @@ def params_from_regression(system: RegressionSystem) -> ParamVector:
     values = dict(system.mixed)
 
     for comp in system.components:
-        pa = comp.covariates
-        for A in _subsets(comp.members):
-            if not A:
-                continue
-            margin = _ordered(names, set(pa) | set(A)) if pa else tuple(comp.members)
-            for t in _subsets(pa):
-                effect = _ordered(names, set(t) | set(A))
-                sign = -1.0 if len(t) % 2 else 1.0
-                locals_ = tuple(v for v in t if spec_by[v].coding == "local")
-                for i_t in _param_cells(spec_by, t):
-                    base = dict(zip(t, i_t))
-                    for i_A in _param_cells(spec_by, A):
-                        total = 0.0
-                        for s in _subsets(locals_):
-                            shifted = dict(base)
-                            for v in s:
-                                shifted[v] += 1
-                            if any(shifted[v] >= spec_by[v].cardinality for v in t):
-                                continue
-                            term = system.table[
-                                (A, i_A, t, tuple(shifted[v] for v in t))
-                            ]
-                            total += (-1.0 if len(s) % 2 else 1.0) * term
-                        idx = param_index(
-                            variables, margin, effect, {**base, **dict(zip(A, i_A))}
-                        )
-                        values[idx] = sign * total
+        families = _coefficient_families(names, comp.members, comp.covariates)
+        for A, t, margin, effect, sign in families:
+            locals_ = tuple(v for v in t if spec_by[v].coding == "local")
+            for i_t in _param_cells(spec_by, t):
+                base = dict(zip(t, i_t))
+                for i_A in _param_cells(spec_by, A):
+                    total = 0.0
+                    for s in _subsets(locals_):
+                        shifted = dict(base)
+                        for v in s:
+                            shifted[v] += 1
+                        if any(shifted[v] >= spec_by[v].cardinality for v in t):
+                            continue
+                        term = system.table[(A, i_A, t, tuple(shifted[v] for v in t))]
+                        total += (-1.0 if len(s) % 2 else 1.0) * term
+                    idx = param_index(
+                        variables, margin, effect, {**base, **dict(zip(A, i_A))}
+                    )
+                    values[idx] = sign * total
 
     missing = [i for i in system.allocation.indices() if i not in values]
     if missing:
@@ -336,9 +322,7 @@ def mixed_param_indices(graph: StratifiedChainGraph, alloc: EffectAllocation):
         extra = set(nd) - pa
         if not extra:
             continue
-        for A in _subsets(members):
-            if not A:
-                continue
+        for A in _subsets(members)[1:]:
             for B in _subsets(nd):
                 if not B or not (set(B) & extra):
                     continue
@@ -376,23 +360,19 @@ def conditional_table(system: RegressionSystem, name: str):
 
     Returns (contexts, columns, values): context cells over the full
     covariate range, one column per (response set, response cell), and the
-    matrix of subset sums.
+    matrix of subset sums, each entry ``conditional_logit``'s value there.
     """
     comp = system.component(name)
     spec_by = {s.name: s for s in system.variables}
     ctx_ranges = [range(1, spec_by[v].cardinality + 1) for v in comp.covariates]
     contexts = [dict(zip(comp.covariates, c)) for c in itertools.product(*ctx_ranges)]
-    columns = []
-    for A in _subsets(comp.members):
-        if not A:
-            continue
-        for i_A in _param_cells(spec_by, A):
-            columns.append((A, i_A))
-    values = []
-    for ctx in contexts:
-        values.append(
-            [conditional_logit(system, dict(zip(A, i_A)), ctx) for A, i_A in columns]
-        )
+    columns = [
+        (A, i_A) for A in _subsets(comp.members)[1:] for i_A in _param_cells(spec_by, A)
+    ]
+    values = [
+        [conditional_logit(system, dict(zip(A, i_A)), ctx) for A, i_A in columns]
+        for ctx in contexts
+    ]
     return contexts, columns, values
 
 
@@ -466,6 +446,7 @@ def report_csv_rows(system: RegressionSystem):
             "value",
         ]
     ]
+    tables = {}
     for comp in system.components:
         for c in comp.coefficients:
             beta.append(
@@ -478,9 +459,6 @@ def report_csv_rows(system: RegressionSystem):
                     repr(c.value),
                 ]
             )
-
-    tables = {}
-    for comp in system.components:
         contexts, columns, values = conditional_table(system, comp.name)
         header = [f"context:{v}" for v in comp.covariates]
         header += [f"{_join(A)}:{_join(i_A)}" for A, i_A in columns]

@@ -1,19 +1,22 @@
-"""Recompute the golden fit and search files and compare them with tests/golden.
+"""Recompute the golden fit, search and report files and compare them with tests/golden.
 
 Run from the root of a checkout:
 
     python3 tests/golden_diff.py            # compare only
     python3 tests/golden_diff.py --write    # compare, then overwrite the files
 
-For each of the four golden files pinned bit for bit by the tests
-(two fits and two searches) it prints whether the recomputed bytes match,
-whether every field that is not a float is equal (keys, list lengths,
-ints, strings, bools, nulls), and, for each float field, the largest
-absolute and relative difference over its occurrences.  A field is named
-by its JSON path with list positions dropped, so ``pi_hat[]`` covers every
-cell.  The outputs come from the helpers that the golden tests in
-test_fitting.py and test_cli.py compare with the files.  The exit status
-is 0 when every file matches byte for byte or was written, 1 otherwise.
+For each of the five golden files pinned bit for bit by the tests (two
+fits, two searches and one regression report) it prints whether the
+recomputed bytes match, whether every field that is not a float is equal
+(keys, list lengths, ints, strings, bools, nulls), and, for each float
+field, the largest absolute and relative difference over its occurrences.
+A field is named by its JSON path with list positions dropped, so
+``pi_hat[]`` covers every cell.  A differing non-float field is listed once
+per path, with its first difference and a count of the rest, so that the
+report's CSV cells (strings) do not flood the listing.  The outputs come
+from the helpers that the golden tests in test_fitting.py, test_cli.py and
+test_regression.py compare with the files.  The exit status is 0 when
+every file matches byte for byte or was written, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from test_cli import chain_search_text, write_chain_inputs  # noqa: E402
 from test_fitting import GOLDEN, golden_fit_text, golden_skel4_text  # noqa: E402
+from test_regression import golden_report_text  # noqa: E402
 
 GOLDENS = {
     "fit_fig4_sparse288_0.json": lambda tmp: golden_fit_text("fig4_sparse288_0"),
     "fit_planted128_0.json": lambda tmp: golden_fit_text("planted128_0"),
     "search_skel4.json": lambda tmp: golden_skel4_text(),
     "search_chain3.json": lambda tmp: chain_search_text(write_chain_inputs(tmp)),
+    "report_fig4_288.json": lambda tmp: golden_report_text(),
 }
 
 
@@ -71,8 +76,12 @@ def report(name, old_text, new_text) -> bool:
     floats, mismatches = compare(json.loads(old_text), json.loads(new_text))
     print(f"{name}: bytes {'match' if same else 'differ'}; "
           f"non-float fields {'equal' if not mismatches else 'DIFFER'}")
+    by_path = {}
     for line in mismatches:
-        print(f"  differs  {line}")
+        by_path.setdefault(line.split(":", 1)[0], []).append(line)
+    for path, lines in by_path.items():
+        more = f" (and {len(lines) - 1} more)" if len(lines) > 1 else ""
+        print(f"  differs  {lines[0]}{more}")
     for path in sorted(floats):
         diff, rel = floats[path]
         print(f"  {path:<32} max abs {diff:.2e}  max rel {rel:.2e}")

@@ -526,6 +526,18 @@ def test_fit_options_reject_values_that_are_not_positive_and_finite():
         FitOptions(max_iterations=0)
 
 
+def test_fit_options_reject_a_max_iterations_that_is_not_an_integer():
+    # range() in the solver loop would raise TypeError, which the search
+    # does not catch
+    for value in (2.5, 3.0, True, np.float64(4.0)):
+        with pytest.raises(OptionError, match="max_iterations must be an integer"):
+            FitOptions(max_iterations=value)
+    assert FitOptions(max_iterations=np.int64(7)).max_iterations == 7
+    table = table_with_context_specific_absence()
+    fit = fit_constrained(table, scgm_constraint_system(SKEL4, V4), FitOptions(np.int32(3)))
+    assert fit.iterations <= 3
+
+
 def test_search_input_validation():
     table = table_first_source_irrelevant()
     with pytest.raises(StatementError):

@@ -1,6 +1,7 @@
 """Tests for the regression view: coefficients, inversion, graph constraints."""
 
 import itertools
+import json
 import math
 import pathlib
 
@@ -485,13 +486,47 @@ def test_report_layout_and_csv_shapes():
     assert len(tables["T2"]) == 1 + 4
 
 
+# fig4 at 288 cells: continuation-coded response 1, 3-level local covariate
+# 5 and 3-level baseline covariate 6, so that the conditional tables cover
+# both lattice sums and top-level drops; every other variable is baseline
+FIG4_288 = variables(
+    (2, 2, 2, 2, 3, 3, 2),
+    codings=("continuation", "baseline", "baseline", "baseline", "local", "baseline", "baseline"),
+)
+REPORT_SEED = 57
+
+
+def fig4_288_system():
+    """Regression system of a seeded Dirichlet(1) probability vector on fig4.
+
+    It reads no fitted table, so the report it gives does not depend on
+    the solver.
+    """
+    probs = np.random.default_rng(REPORT_SEED).dirichlet(np.ones(288))
+    return system_for(probability_vector(FIG4_288, probs), load("fig4.graph"))[1]
+
+
+def golden_report_text():
+    """The report pinned by golden/report_fig4_288.json, as written there:
+    ``regression_report`` plus the rows of ``report_csv_rows``."""
+    system = fig4_288_system()
+    beta, tables = report_csv_rows(system)
+    doc = {"report": regression_report(system), "beta_csv": beta, "conditional_csv": tables}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_matches_the_golden_report():
+    assert golden_report_text() == (GOLDEN / "report_fig4_288.json").read_text(encoding="utf-8")
+
+
 def test_conditional_table_matches_logits():
-    g = load("fig_a.graph")
-    pv = random_positive(V5, seed=52)
-    _, system = system_for(pv, g)
-    contexts, columns, values = conditional_table(system, "T2")
-    for ctx, row in zip(contexts, values):
-        for (A, i_A), val in zip(columns, row):
-            assert val == pytest.approx(
-                conditional_logit(system, dict(zip(A, i_A)), ctx), abs=1e-12
-            )
+    # every entry equals the single-context subset sum bit for bit, on
+    # every component of fig_a and of fig4 at 288 cells
+    _, fig_a = system_for(random_positive(V5, seed=52), load("fig_a.graph"))
+    for system, comp in [(s, c) for s in (fig_a, fig4_288_system()) for c in s.components]:
+        contexts, columns, values = conditional_table(system, comp.name)
+        assert len(values) == len(contexts)
+        for ctx, row in zip(contexts, values):
+            assert len(row) == len(columns)
+            for (A, i_A), val in zip(columns, row):
+                assert val == conditional_logit(system, dict(zip(A, i_A)), ctx), (A, i_A, ctx)
