@@ -11,7 +11,20 @@ reads the events and signs from ``params.event_table``, the same table
 every other parameter evaluation reads, and builds A and the signed
 event rows P of the referenced parameters from it.
 
-It reads them through an ``EventCache``: each parameter index's event
+A is kept as an ``EventMap``, never as a dense matrix: the (event, cell)
+pairs, for the event masses A pi by ``np.bincount``, and a d x K table of
+each cell's event ids, for the Jacobian C diag(1/m) A as d column gathers
+of C diag(1/m).  Events pin most variables, so A is almost all zeros: a
+2187-cell fit has 1404 events and 1755 nonzeros, a dense A of 24.6 MB,
+and no cell lies in more than 2 events (d = 2; d = 1 on the 288-cell
+fits, where every event is one cell, and at most 4 on a 128-cell
+search's systems).  On the 2187-cell fit the dense product that formed
+the Jacobian made a second A-sized temporary and took about 0.075 s a
+call, six calls a fit; the gathers take about 0.014 s (2-vCPU Xeon, one
+BLAS thread) and give the same Jacobian bit for bit on every system the
+tests compare.
+
+The map is read through an ``EventCache``: each parameter index's event
 ids and signs, one id per distinct (margin, levels) event, and each
 event's cells as flat cell positions.  A search's candidates share most
 of their parameters (on a 108-fit search over 128 cells, 111 distinct
@@ -20,11 +33,9 @@ indices of 5934 compiled and 279 distinct events of 15480), so
 search's compile time from about 1.2 s to about 0.1 s on a 2-vCPU Xeon.
 A compile orders its events by first appearance among its own indices'
 terms, as ``event_table`` over those indices would, so A, C and P are the
-same bit for bit as from a fresh cache.  The cache keeps cell positions,
-not rows of A: a 2187-cell fit has 1404 events with few cells each, and
-dense rows would double A's memory.  It lives for one search, neither
-shared across searches nor kept by the module, so a search costs the
-same whether or not the process ran one before.
+same bit for bit as from a fresh cache.  The cache lives for one search,
+neither shared across searches nor kept by the module, so a search costs
+the same whether or not the process ran one before.
 
 The solver runs Lagrangian steps with the multinomial Fisher information
 as the Hessian model, with step halving on a likelihood-plus-feasibility
@@ -56,12 +67,13 @@ some near-boundary fits stall.
 Each iterate is evaluated once, by ``_point``, into a frozen record of the
 logits, pi, the event masses A pi, the log-likelihood and h.  The line
 search builds its trial points the same way, and the accepted trial is
-the next iterate.  The loop top adds B, J and the two KKT norms for the
+the next iterate.  The loop top adds B and the two KKT norms for the
 current multipliers; the best iterate seen is kept as its point and
 multipliers.  The reported ``kkt_residual``, df and ``pi_hat`` come from
 the chosen point without evaluating it again: the last point of a
-converged run, whose loop-top J gives the rank, or the best point of an
-unconverged one, the only case that rebuilds its Jacobian.
+converged run, whose loop-top B gives the rank of J = B diag(pi), or the
+best point of an unconverged one, the only case that rebuilds its
+Jacobian.
 
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
@@ -256,9 +268,60 @@ class FitResult:
         }
 
 
+class EventMap:
+    """The 0/1 event matrix A (events x cells), kept as its nonzeros.
+
+    ``rows`` and ``cols`` list the (event, cell) pairs, event by event and
+    each event's cells in ascending order.  ``ids`` is a d x K table of
+    each cell's event ids in ascending order, d the most events any cell
+    lies in (at least 1); a shorter column is padded with ``shape[0]``,
+    the id of an extra all-zero column, and a cell in no event has only
+    padding.  ``shape`` and ``nbytes`` read as a dense A's would, with
+    ``nbytes`` counting these three arrays.
+    """
+
+    def __init__(self, rows, cols, shape):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.shape = shape
+        n_events, n_cells = shape
+        depth = np.bincount(self.cols, minlength=n_cells)
+        order = np.argsort(self.cols, kind="stable")
+        cells = self.cols[order]
+        # a cell's k-th pair goes to row k of its column
+        slot = np.arange(cells.size) - (np.cumsum(depth) - depth)[cells]
+        self.ids = np.full((max(int(depth.max(initial=0)), 1), n_cells), n_events)
+        self.ids[slot, cells] = self.rows[order]
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.ids.nbytes
+
+    def sums(self, v):
+        """A v: v summed over each event's cells."""
+        return np.bincount(self.rows, weights=v[self.cols], minlength=self.shape[0])
+
+    def spread(self, X, w):
+        """X diag(w) A for X with one column per event, C-ordered.
+
+        Column k is the sum of the columns of X * w at cell k's event ids,
+        added in ascending id order as a dense product adds them.
+        ``np.take`` keeps the gathers C-ordered, where ``Xw[:, ids]`` would
+        give F order.
+        """
+        padded = np.zeros((X.shape[0], self.shape[0] + 1))
+        np.multiply(X, w, out=padded[:, :-1])
+        out = np.take(padded, self.ids[0], axis=1)
+        for ids in self.ids[1:]:
+            out += np.take(padded, ids, axis=1)
+        return out
+
+
 @dataclass(frozen=True)
 class CompiledSystem:
-    """Constraint rows as h(pi) = C log(A pi); A holds 0/1 event selectors.
+    """Constraint rows as h(pi) = C log(A pi); A is the ``EventMap`` of
+    the events' cells, not a dense matrix.  ``A.shape`` is (events, cells)
+    and ``A.nbytes`` counts the map's own arrays.
 
     P holds one signed event row per entry of ``indices``, so the
     parameters referenced by the system are P log(A pi) and C = C_idx P
@@ -267,7 +330,7 @@ class CompiledSystem:
 
     variables: tuple
     indices: tuple
-    A: np.ndarray
+    A: EventMap
     C: np.ndarray
     P: np.ndarray
 
@@ -277,7 +340,7 @@ class CompiledSystem:
 
     def param_values(self, pi):
         """Every parameter in ``indices`` at pi, in that order."""
-        masses = self.A @ pi
+        masses = self.A.sums(pi)
         if np.any(masses <= 0.0):
             zero = np.nonzero(self.P[:, masses <= 0.0].any(axis=1))[0][0]
             idx = self.indices[zero]
@@ -293,7 +356,7 @@ class EventCache:
     ``terms(idx)`` gives a parameter index's event ids and signs, read once
     from ``event_table``; an event id numbers a distinct (margin, levels)
     event in the order the cache first met it, and ``cells(eid)`` holds
-    that event's flat cell positions in the table.
+    that event's flat cell positions in the table, in ascending order.
     """
 
     def __init__(self, variables):
@@ -328,7 +391,7 @@ class EventCache:
             for s in self.variables:
                 levels = pinned.get(s.name, range(1, s.cardinality + 1))
                 flat = [f * s.cardinality + (l - 1) for f in flat for l in levels]
-            self._cells.append(tuple(flat))
+            self._cells.append(tuple(sorted(flat)))
         return eid
 
 
@@ -350,11 +413,11 @@ def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledS
     ids = [eid for row_ids, _ in terms for eid in row_ids]
     # event id -> row of A, in first-seen order among the terms
     pos = {eid: row for row, eid in enumerate(dict.fromkeys(ids))}
-    A = np.zeros((len(pos), n_cells))
-    A[
+    A = EventMap(
         [row for row, eid in enumerate(pos) for _ in cache.cells(eid)],
         [cell for eid in pos for cell in cache.cells(eid)],
-    ] = 1.0
+        (len(pos), n_cells),
+    )
     P = np.zeros((len(indices), len(pos)))
     # an index's events are distinct, so no entry is written twice
     P[
@@ -390,7 +453,7 @@ def _point(compiled, p_obs, x):
     e = np.exp(z)
     total = e.sum()
     pi = e / total
-    masses = compiled.A @ pi
+    masses = compiled.A.sums(pi)
     if np.any(masses <= 0.0):
         return None
     loglik = float(p_obs @ z) - math.log(total)
@@ -398,17 +461,23 @@ def _point(compiled, p_obs, x):
 
 
 def _centred_jacobian(compiled, point):
-    """B = M - (M pi) 1^T for M = dh/dpi; the logit Jacobian is B diag(pi)."""
-    M = compiled.C @ (compiled.A / point.masses[:, None])
-    return M - (M @ point.pi)[:, None]
+    """B = M - (M pi) 1^T for M = dh/dpi; the logit Jacobian is B diag(pi).
+
+    M = C diag(1/m) A for the event masses m, gathered by ``EventMap.spread``
+    from the columns of C * (1/m): d column gathers added in event order,
+    the same sums as the dense product, C-ordered so that M pi and the QR
+    of the step see the dense product's layout.  M is centred in place.
+    """
+    M = compiled.A.spread(compiled.C, 1.0 / point.masses)
+    M -= (M @ point.pi)[:, None]
+    return M
 
 
 def _kkt(compiled, p_obs, point, lam):
-    """B, J = B diag(pi), max |stationarity| and max |h| at a point and lam."""
+    """B, max |stationarity| and max |h| at a point and lam."""
     B = _centred_jacobian(compiled, point)
-    J = B * point.pi[None, :]
-    stationarity = (p_obs - point.pi) - J.T @ lam
-    return B, J, float(np.abs(stationarity).max()), float(np.abs(point.h).max())
+    stationarity = (p_obs - point.pi) - (B * point.pi[None, :]).T @ lam
+    return B, float(np.abs(stationarity).max()), float(np.abs(point.h).max())
 
 
 def _projection_step(B, pi, g, h):
@@ -528,7 +597,7 @@ def fit_constrained(
     stalls = 0
 
     for iterations in range(1, options.max_iterations + 1):
-        B, J, stationarity, feas = _kkt(compiled, p_obs, point, lam)
+        B, stationarity, feas = _kkt(compiled, p_obs, point, lam)
         if best is None or (feas, -point.loglik) < best[:2]:
             best = (feas, -point.loglik, point, lam)
         if feas < options.constraint_tolerance and stationarity < options.gradient_tolerance:
@@ -554,9 +623,9 @@ def fit_constrained(
 
     if not converged:
         _, _, point, lam = best
-        _, J, stationarity, feas = _kkt(compiled, p_obs, point, lam)
+        B, stationarity, feas = _kkt(compiled, p_obs, point, lam)
     kkt_residual = max(stationarity, feas)
-    df = _rank(J, compiled.n_rows)
+    df = _rank(B * point.pi[None, :], compiled.n_rows)
 
     # a truncated run is merely unconverged; only a stalled solver that is
     # still far from the constraint set indicates an infeasible system

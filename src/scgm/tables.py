@@ -13,7 +13,8 @@ Two serialization surfaces are provided. The CSV form is a variable
 header block followed by one ``cell:`` row per cell, zero counts included
 (the reader accepts omitted cells as zero); the JSON
 form mirrors it under the schema tag ``scgm-table/1``. Both round-trip
-bit-exactly on canonical tables.
+bit-exactly on canonical tables.  The CSV form has no place for level
+labels, so its writer refuses a labelled table rather than drop them.
 """
 
 from __future__ import annotations
@@ -350,6 +351,11 @@ def load_table_csv(text: str) -> ContingencyTable:
 def dump_table_csv(table: ContingencyTable) -> str:
     lines = ["variable,cardinality,coding"]
     for v in table.variables:
+        if v.level_labels is not None:
+            raise TableFormatError(
+                f"variable {v.name!r} has level labels, which the CSV format "
+                "cannot hold; write the table as JSON"
+            )
         lines.append(f"{v.name},{v.cardinality},{v.coding}")
     for cell, count in zip(all_cells(table.variables), table.counts):
         lines.append("cell:" + ",".join(str(l) for l in cell) + f",{float(count)!r}")

@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 
 from scgm.cli import RunConfig, _search_text
-from scgm.constraints import generate_constraints, parse_statement
+from scgm.constraints import ConstraintSystem, Row, Term, generate_constraints, parse_statement
 import scgm.fitting
 from scgm.errors import OptionError, StatementError, ZeroMassSliceError
 from scgm.fitting import (
@@ -33,7 +33,7 @@ from scgm.fitting import (
 )
 from scgm.graphs import Stratum, load_graph, parse_graph, render_graph, stratified_markov
 from scgm.oracle import random_positive
-from scgm.params import event_table, param_value
+from scgm.params import event_table, param_index, param_value
 from scgm.regression import scgm_constraint_system
 from scgm.tables import ContingencyTable, VariableSpec, load_table
 
@@ -46,8 +46,6 @@ def variables(cards, names=None):
 
 
 def empty_system(vs):
-    from scgm.constraints import ConstraintSystem
-
     return ConstraintSystem(tuple(vs), (), 0)
 
 
@@ -215,6 +213,13 @@ def reference_compile(variables, system):
         for term in row.terms:
             C_idx[r, index_pos[term.index]] += term.coef
     return A, C_idx @ P, P
+
+
+def dense_matrix(event_map):
+    """The 0/1 event matrix an ``EventMap`` stands for, as a dense array."""
+    A = np.zeros(event_map.shape)
+    A[event_map.rows, event_map.cols] = 1.0
+    return A
 
 
 def assert_same_arrays(got, want):
@@ -494,8 +499,10 @@ def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch):
     assert calls[0][2] is not None
     for variables, system, _, compiled in calls:
         fresh = compile_cached(variables, system)
-        got = (compiled.A, compiled.C, compiled.P)
-        assert_same_arrays(got, (fresh.A, fresh.C, fresh.P))
+        event_map = (compiled.A.rows, compiled.A.cols, compiled.A.ids)
+        assert_same_arrays(event_map, (fresh.A.rows, fresh.A.cols, fresh.A.ids))
+        got = (dense_matrix(compiled.A), compiled.C, compiled.P)
+        assert_same_arrays(got, (dense_matrix(fresh.A), fresh.C, fresh.P))
         assert_same_arrays(got, reference_compile(variables, system))
 
 
@@ -690,3 +697,85 @@ def test_projection_step_matches_the_dense_kkt_step(case, monkeypatch):
     # only the rank-deficient steps go through pinv(T^T)
     R = h.size
     assert pinv_calls == ([(R, R)] * 3 if repeated else [])
+
+
+def dense_centred_jacobian(compiled, point):
+    """B formed through a dense A, the reference for the event map's gathers."""
+    M = compiled.C @ (dense_matrix(compiled.A) / point.masses[:, None])
+    return M - (M @ point.pi)[:, None]
+
+
+def start_point(compiled, table):
+    """The solver's starting point on a table."""
+    counts = np.asarray(table.counts, dtype=float)
+    N = counts.sum()
+    return _point(compiled, counts / N, np.log((counts + 0.5) / (N + 0.5 * counts.size)))
+
+
+@pytest.fixture(scope="module")
+def planted128_search_systems():
+    """Every system a search from the 21-link skeleton on planted128_0 compiles."""
+    table = golden_table("planted128_0.csv")
+    compile_cached = scgm.fitting.compile_system
+    systems = []
+
+    def capture(variables, system, cache=None):
+        systems.append(system)
+        return compile_cached(variables, system, cache)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scgm.fitting, "compile_system", capture)
+        model_search(table, load_graph(GOLDEN / "skeleton21.graph"))
+    return table, systems
+
+
+@pytest.mark.parametrize("case", ["fig_a", "fig4-288", "planted128-search"])
+def test_centred_jacobian_equals_the_dense_product(case, request):
+    if case == "fig_a":
+        table = ContingencyTable(V5, 10000.0 * planted_fig_a(0))
+        systems = [scgm_constraint_system(FIG_A, V5)]
+    elif case == "fig4-288":
+        table = golden_table("fig4_sparse288_0.csv")
+        systems = [scgm_constraint_system(FIG4, table.variables)]
+    else:
+        table, systems = request.getfixturevalue("planted128_search_systems")
+        assert len(systems) > 100
+    depths = set()
+    for system in systems:
+        compiled = compile_system(table.variables, system)
+        point = start_point(compiled, table)
+        B = _centred_jacobian(compiled, point)
+        assert B.flags.c_contiguous
+        assert np.array_equal(B, dense_centred_jacobian(compiled, point))
+        assert np.allclose(point.masses, dense_matrix(compiled.A) @ point.pi, rtol=1e-14, atol=0)
+        depths.add(compiled.A.ids.shape[0])
+    if case == "planted128-search":
+        # cells in several events: the gathers are added, not only copied
+        assert max(depths) > 1
+
+
+def test_event_map_gives_uncovered_cells_zero_columns():
+    vs = variables((3, 2))
+    # a contrast of p(1 = 2) and p(1 = 3): no event holds the cells where 1 = 1
+    idx = param_index(vs, ("1",), ("1",), (2,))
+    compiled = compile_system(vs, ConstraintSystem(vs, (Row((Term(idx, 1),)),), 1))
+    A = dense_matrix(compiled.A)
+    uncovered = A.sum(axis=0) == 0
+    assert uncovered.tolist() == [True] * 2 + [False] * 4
+    table = ContingencyTable(vs, np.arange(1.0, 7.0))
+    point = start_point(compiled, table)
+    M = compiled.A.spread(compiled.C, 1.0 / point.masses)
+    assert np.array_equal(M, compiled.C @ (A / point.masses[:, None]))
+    assert not M[:, uncovered].any()
+    B = _centred_jacobian(compiled, point)
+    assert np.array_equal(B, dense_centred_jacobian(compiled, point))
+
+
+def test_event_map_of_a_system_without_events():
+    vs = variables((2, 3))
+    compiled = compile_system(vs, empty_system(vs))
+    assert compiled.A.shape == (0, 6)
+    point = start_point(compiled, ContingencyTable(vs, np.arange(1.0, 7.0)))
+    assert point.masses.shape == point.h.shape == (0,)
+    assert _centred_jacobian(compiled, point).shape == (0, 6)
+    assert compiled.param_values(point.pi).shape == (0,)

@@ -101,6 +101,15 @@ def test_json_round_trip():
     assert table.variables == again.variables
 
 
+def test_csv_writer_refuses_level_labels_json_keeps_them():
+    labelled = VariableSpec("X2", 2, level_labels=("low", "high"))
+    table = ContingencyTable((V2, labelled), np.array([10.0, 20.0, 30.0, 40.0]))
+    with pytest.raises(TableFormatError, match="'X2'.*JSON"):
+        dump_table(table, "csv")
+    again = load_table(dump_table(table, "json"), "json")
+    assert again.variables == table.variables
+
+
 def test_json_schema_required():
     with pytest.raises(TableFormatError):
         load_table('{"variables": [], "cells": []}', "json")
