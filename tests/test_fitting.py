@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import scipy.special
 from scgm.cli import RunConfig, _search_text
 from scgm.constraints import ConstraintSystem, Row, Term, generate_constraints, parse_statement
 import scgm.fitting
-from scgm.errors import OptionError, StatementError, ZeroMassSliceError
+from scgm.errors import InfeasibleSystemError, OptionError, StatementError, ZeroMassSliceError
 from scgm.fitting import (
     AIC_FORMULA,
     BIC_FORMULA,
@@ -22,6 +24,7 @@ from scgm.fitting import (
     FitResult,
     chisq_sf,
     _centred_jacobian,
+    _evaluate,
     _point,
     _projection_step,
     compile_system,
@@ -435,21 +438,61 @@ def test_search_keeps_a_saturated_skeleton_intact():
     assert all(e["chosen"] is None for e in doc["step3"])
 
 
-def test_search_falls_back_to_the_skeleton_when_no_candidate_passes(monkeypatch):
+def recorder(path):
+    """A function that appends its arguments, after the caller's pid, to ``path``.
+
+    A search fits its candidates in forked worker processes, which inherit
+    a wrapper installed before the search; the file carries their calls
+    back to the test.
+    """
+    def record(*fields):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), *fields]) + "\n")
+
+    return record
+
+
+def recorded(path):
+    """The records ``recorder(path)`` wrote, in the order they were written."""
+    if not path.exists():
+        return []
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def searched_candidates(trace):
+    """Each candidate a search fitted once, in evaluation order."""
+    candidates = [c for _, c in trace.step1] + [c for _, c in trace.step2]
+    candidates += [c for _, _, tried, _ in trace.step3 for _, c in tried]
+    # the skeleton fallback may reuse the joint removal's record
+    return list({id(c): c for c in candidates}.values())
+
+
+def searched_systems(trace):
+    """The systems a search compiled: its candidates' in evaluation order, then the final graph's.
+
+    A graph whose system has no rows is fitted without a compile.
+    """
+    graphs = [c.graph for c in searched_candidates(trace)] + [trace.final_graph]
+    systems = [scgm_constraint_system(g, trace.variables) for g in graphs]
+    return [system for system in systems if system.rows]
+
+
+def test_search_falls_back_to_the_skeleton_when_no_candidate_passes(monkeypatch, tmp_path):
     # without arc 1 -> 3 the skeleton misses a strong dependence: the joint
     # removal (the skeleton itself) fails the p-filter, so does the fallback
     skeleton = replace(CHAIN3, arcs=(("1", "2"), ("2", "3")))
-    fits = []
+    record = recorder(tmp_path / "fits.jsonl")
 
     def counting_fit(*args, **kwargs):
-        fits.append(args)
+        record()
         return fit_constrained(*args, **kwargs)
 
     monkeypatch.setattr("scgm.fitting.fit_constrained", counting_fit)
     trace = model_search(table_with_saturated_interactions(), skeleton)
     # two single removals, the joint removal reused as the fallback, and
     # the final refit: the skeleton is not fitted a third time
-    assert len(fits) == 4
+    assert len(recorded(tmp_path / "fits.jsonl")) == 4
+    assert len(searched_candidates(trace)) == 3
     step2 = trace_to_json(trace)["step2"]
     assert [c["restored"] for c in step2["candidates"]] == [None, "all"]
     assert trace.step2[1][1] is trace.step2[0][1]
@@ -483,45 +526,148 @@ def test_search_trace_is_deterministic_and_refits():
     assert doc["final_fit"]["schema"] == "scgm-fit/1"
 
 
-def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch):
+def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch, tmp_path):
     compile_cached = scgm.fitting.compile_system
-    calls = []
+    record = recorder(tmp_path / "compiles.jsonl")
 
     def capture(variables, system, cache=None):
-        compiled = compile_cached(variables, system, cache)
-        calls.append((variables, system, cache, compiled))
-        return compiled
+        record(None if cache is None else id(cache))
+        return compile_cached(variables, system, cache)
 
     monkeypatch.setattr(scgm.fitting, "compile_system", capture)
-    model_search(table_with_context_specific_absence(), SKEL4)
-    assert len(calls) > 10
-    assert len({id(cache) for _, _, cache, _ in calls}) == 1
-    assert calls[0][2] is not None
-    for variables, system, _, compiled in calls:
-        fresh = compile_cached(variables, system)
+    trace = model_search(table_with_context_specific_absence(), SKEL4)
+    calls = recorded(tmp_path / "compiles.jsonl")
+    # each worker compiles through its one cache; the refit in the parent
+    # makes its own
+    in_workers = [(pid, cache) for pid, cache in calls if pid != os.getpid()]
+    assert len(in_workers) > 10
+    assert all(cache is not None for _, cache in in_workers)
+    for worker in {pid for pid, _ in in_workers}:
+        assert len({cache for pid, cache in in_workers if pid == worker}) == 1
+    assert len(calls) == len(in_workers) + 1
+    # the same compiles, through one cache in this process
+    systems = searched_systems(trace)
+    assert len(systems) == len(calls)
+    cache = EventCache(V4)
+    for system in systems:
+        compiled = compile_cached(V4, system, cache)
+        fresh = compile_cached(V4, system)
         event_map = (compiled.A.rows, compiled.A.cols, compiled.A.ids)
         assert_same_arrays(event_map, (fresh.A.rows, fresh.A.cols, fresh.A.ids))
         got = (dense_matrix(compiled.A), compiled.C, compiled.P)
         assert_same_arrays(got, (dense_matrix(fresh.A), fresh.C, fresh.P))
-        assert_same_arrays(got, reference_compile(variables, system))
+        assert_same_arrays(got, reference_compile(V4, system))
 
 
-def test_each_search_starts_an_empty_cache(monkeypatch):
-    calls = []
+def test_each_search_starts_an_empty_cache(monkeypatch, tmp_path):
+    walks_log, reads_log = tmp_path / "walks.jsonl", tmp_path / "reads.jsonl"
+    record_walk, record_read = recorder(walks_log), recorder(reads_log)
+    terms = EventCache.terms
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        (idx,) = args[1]
+        record_walk(repr(idx))
         return event_table(*args, **kwargs)
 
+    def sized_terms(self, idx):
+        record_read(id(self), len(self._terms))
+        return terms(self, idx)
+
     monkeypatch.setattr(scgm.fitting, "event_table", counting)
+    monkeypatch.setattr(EventCache, "terms", sized_terms)
     table = table_with_context_specific_absence()
-    model_search(table, SKEL4)
-    first = len(calls)
-    model_search(table, SKEL4)
-    assert first > 0
-    assert len(calls) == 2 * first
-    # one walk per distinct parameter index of the search
-    assert len({idx for (idx,) in calls[:first]}) == first
+    searches = []
+    for _ in range(2):
+        walks_log.unlink(missing_ok=True)
+        reads_log.unlink(missing_ok=True)
+        model_search(table, SKEL4)
+        searches.append((recorded(walks_log), recorded(reads_log)))
+    for walks, reads in searches:
+        for pid in {pid for pid, _, _ in reads}:
+            sizes = [(cache, size) for p, cache, size in reads if p == pid]
+            # one cache per process and search, empty when first read
+            assert len({cache for cache, _ in sizes}) == 1
+            assert sizes[0][1] == 0
+            # one walk per distinct parameter index the process compiled
+            own = [idx for p, idx in walks if p == pid]
+            assert len(own) == len(set(own)) > 0
+    parent = os.getpid()
+    (walks1, _), (walks2, _) = searches
+    workers1, workers2 = ({p for p, _ in w} - {parent} for w in (walks1, walks2))
+    # new workers per search, and no walk saved by the first search
+    assert workers1 and workers2 and not workers1 & workers2
+    assert sorted(i for p, i in walks1 if p == parent) == sorted(i for p, i in walks2 if p == parent)
+    assert {i for p, i in walks1 if p != parent} == {i for p, i in walks2 if p != parent}
+
+
+def test_a_candidate_that_fails_in_a_worker_is_recorded_as_in_process(monkeypatch):
+    broken = replace(CHAIN3, arcs=(("1", "3"), ("2", "3")))
+    build = scgm.fitting.scgm_constraint_system
+
+    def failing_build(graph, variables):
+        if graph == broken:
+            raise StatementError("no system for this graph")
+        return build(graph, variables)
+
+    monkeypatch.setattr(scgm.fitting, "scgm_constraint_system", failing_build)
+    table = table_first_source_irrelevant()
+    trace = model_search(table, CHAIN3)
+    step1 = dict(trace.step1)
+    failed = step1[("arc", "1", "2")]
+    assert failed.graph == broken
+    assert failed.fit is None
+    assert failed.error == "StatementError: no system for this graph"
+    assert trace_to_json(trace)["step1"][0]["error"] == failed.error
+    for link, candidate in trace.step1:
+        assert candidate == _evaluate(candidate.graph, table, FitOptions(), EventCache(V3))
+    others = [c for c in searched_candidates(trace) if c is not failed]
+    assert others and all(c.fit is not None and c.error is None for c in others)
+    assert trace.final_graph.arcs == (("1", "2"), ("2", "3"))
+
+
+def test_search_of_a_skeleton_without_links():
+    skeleton = parse_graph("component T1 = {1}\ncomponent T2 = {2}\n")
+    table = ContingencyTable(variables((2, 2)), np.array([3.0, 5.0, 4.0, 4.0]))
+    trace = model_search(table, skeleton)
+    assert trace.step1 == () and trace.step3 == ()
+    assert [r for r, _ in trace.step2] == [None]
+    assert trace.step2[0][1].fit is not None
+    assert trace.final_graph == skeleton
+    assert multiprocessing.active_children() == []
+
+
+def test_no_process_outlives_a_search(monkeypatch):
+    table = table_first_source_irrelevant()
+    model_search(table, CHAIN3)
+    assert multiprocessing.active_children() == []
+
+    # a failing refit of the final graph, in this process
+    parent = os.getpid()
+    fit = scgm.fitting.fit_constrained
+
+    def failing_refit(*args, **kwargs):
+        if os.getpid() == parent:
+            raise InfeasibleSystemError("refit failed")
+        return fit(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scgm.fitting, "fit_constrained", failing_refit)
+        with pytest.raises(InfeasibleSystemError, match="refit failed"):
+            model_search(table, CHAIN3)
+    assert multiprocessing.active_children() == []
+
+    # an error the candidate record does not catch, raised in a worker
+    build = scgm.fitting.scgm_constraint_system
+
+    def crashing_build(graph, variables):
+        if os.getpid() != parent:
+            raise RuntimeError("worker crashed")
+        return build(graph, variables)
+
+    monkeypatch.setattr(scgm.fitting, "scgm_constraint_system", crashing_build)
+    with pytest.raises(RuntimeError, match="worker crashed"):
+        model_search(table, CHAIN3)
+    assert multiprocessing.active_children() == []
 
 
 def test_fit_options_reject_values_that_are_not_positive_and_finite():
@@ -716,17 +862,8 @@ def start_point(compiled, table):
 def planted128_search_systems():
     """Every system a search from the 21-link skeleton on planted128_0 compiles."""
     table = golden_table("planted128_0.csv")
-    compile_cached = scgm.fitting.compile_system
-    systems = []
-
-    def capture(variables, system, cache=None):
-        systems.append(system)
-        return compile_cached(variables, system, cache)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scgm.fitting, "compile_system", capture)
-        model_search(table, load_graph(GOLDEN / "skeleton21.graph"))
-    return table, systems
+    trace = model_search(table, load_graph(GOLDEN / "skeleton21.graph"))
+    return table, searched_systems(trace)
 
 
 @pytest.mark.parametrize("case", ["fig_a", "fig4-288", "planted128-search"])

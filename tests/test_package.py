@@ -1,6 +1,9 @@
 """The package namespace: ``__all__`` against the names ``__init__`` imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import scgm
@@ -19,3 +22,17 @@ def test_all_names_resolve_and_every_public_import_is_listed():
     }
     assert imported == set(scgm.__all__) - {"__version__"}
     assert len(scgm.__all__) == len(set(scgm.__all__))
+
+
+def test_import_loads_no_process_pool():
+    # model_search imports these itself; importing them costs 10-25 ms
+    code = (
+        "import sys; import scgm; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = str(Path(scgm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
