@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -81,6 +81,11 @@ class RunConfig:
     alpha: float | None = None
     seed: int = 0
     out: str | None = None
+
+    @classmethod
+    def from_args(cls, args) -> RunConfig:
+        """The run of a parsed command line; a field its subcommand lacks is None."""
+        return cls(**{f.name: getattr(args, f.name, None) for f in fields(cls)})
 
     def run_block(self) -> dict:
         config = {k: v for k, v in asdict(self).items() if v is not None}
@@ -236,10 +241,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    config = RunConfig(
-        command="markov", graph=args.graph, table=args.table,
-        seed=args.seed, out=args.out,
-    )
+    config = RunConfig.from_args(args)
     graph = _read_graph(args.graph)
     variables = _read_table(args.table).variables if args.table else None
     if variables is not None and not _names_match(graph, variables):
@@ -275,10 +277,7 @@ def cmd_markov(args) -> int:
 
 
 def cmd_constraints(args) -> int:
-    config = RunConfig(
-        command="constraints", table=args.table, graph=args.graph,
-        statement=args.statement, seed=args.seed, out=args.out,
-    )
+    config = RunConfig.from_args(args)
     table = _read_table(args.table)
     variables = table.variables
     if args.graph:
@@ -308,11 +307,7 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = RunConfig(
-        command="fit", table=args.table, graph=args.graph,
-        smoothing=args.smoothing, max_iterations=args.max_iterations,
-        seed=args.seed, out=args.out,
-    )
+    config = RunConfig.from_args(args)
     options = _fit_options(args)
     table = _read_table(args.table)
     graph = _read_graph(args.graph)
@@ -425,12 +420,7 @@ def _search_text(trace, run: dict) -> str:
 
 
 def cmd_search(args) -> int:
-    config = RunConfig(
-        command="search", table=args.table, graph=args.graph,
-        smoothing=args.smoothing, max_iterations=args.max_iterations,
-        criterion=args.criterion, alpha=args.alpha,
-        seed=args.seed, out=args.out,
-    )
+    config = RunConfig.from_args(args)
     options = _fit_options(args)
     if not 0.0 < args.alpha < 1.0:
         raise OptionError(f"alpha must lie strictly between 0 and 1, got {args.alpha}")

@@ -7,7 +7,7 @@ is a linear combination of parameters, every parameter a signed sum of
 logs of marginal event masses, so h(pi) = C log(A pi) for a fixed 0/1
 event matrix A and a coefficient matrix C; the system is compiled to that
 form once and the solver works with exact gradients.  ``compile_system``
-reads the events and signs from ``params.event_table``, the same table
+reads the events and signs from a ``params.EventCache``, the numbering
 every other parameter evaluation reads, and builds A and the signed
 event rows P of the referenced parameters from it.
 
@@ -24,20 +24,19 @@ call, six calls a fit; the gathers take about 0.014 s (2-vCPU Xeon, one
 BLAS thread) and give the same Jacobian bit for bit on every system the
 tests compare.
 
-The map is read through an ``EventCache``: each parameter index's event
-ids and signs, one id per distinct (margin, levels) event, and each
-event's cells as flat cell positions.  A search's candidates share most
-of their parameters (on a 108-fit search over 128 cells, 111 distinct
-indices of 5934 compiled and 279 distinct events of 15480), so each of
+The map is read through the cache: each parameter index's event ids and
+signs, one id per distinct (margin, levels) event, and each event's cells
+as flat cell positions.  A search's candidates share most of their
+parameters (on a 108-fit search over 128 cells, 111 distinct indices of
+5934 compiled and 279 distinct events of 15480), so each of
 ``model_search``'s worker processes makes one cache and passes it to every
 fit it runs, and the final refit in the calling process makes its own;
 one shared cache cut the search's compile time from about 1.2 s to about
 0.1 s on a 2-vCPU Xeon.  A compile orders its events by first appearance
-among its own indices' terms, as ``event_table`` over those indices
-would, so A, C and P are the same bit for bit through any cache.  A cache
-lives for one search, neither shared across searches nor kept by the
-module, so a search costs the same whether or not the process ran one
-before.
+among its own indices' terms, as a fresh cache would number them, so A,
+C and P are the same bit for bit through any cache.  A cache lives for
+one search, neither shared across searches nor kept by the module, so a
+search costs the same whether or not the process ran one before.
 
 The solver runs Lagrangian steps with the multinomial Fisher information
 as the Hessian model, with step halving on a likelihood-plus-feasibility
@@ -140,7 +139,7 @@ from .graphs import (
     validate,
 )
 # param_value is re-exported: callers wrap it under this module's name
-from .params import event_table, param_value  # noqa: F401
+from .params import EventCache, param_value  # noqa: F401
 from .regression import scgm_constraint_system
 from .tables import ContingencyTable, ProbabilityVector, variables_to_json
 
@@ -263,7 +262,10 @@ class FitResult:
 
     eta_hat maps every parameter referenced by the system to its fitted
     value; kkt_residual is the larger of the stationarity and feasibility
-    norms at the returned iterate.
+    norms at the returned iterate.  ``converged`` means that max |h| <
+    ``constraint_tolerance`` and the unscaled max |p_obs - pi - J^T lam| <
+    ``gradient_tolerance``, J the logit Jacobian of h; it states no
+    accuracy of G2.
     """
 
     pi_hat: ProbabilityVector
@@ -373,63 +375,21 @@ class CompiledSystem:
         return self.P @ np.log(masses)
 
 
-class EventCache:
-    """Signed terms, event ids and event cells shared by a search's compiles.
-
-    ``terms(idx)`` gives a parameter index's event ids and signs, read once
-    from ``event_table``; an event id numbers a distinct (margin, levels)
-    event in the order the cache first met it, and ``cells(eid)`` holds
-    that event's flat cell positions in the table, in ascending order.
-    """
-
-    def __init__(self, variables):
-        self.variables = tuple(variables)
-        self._terms = {}
-        self._ids = {}
-        self._cells = []
-
-    def terms(self, idx):
-        """Event ids and signs of idx's terms, in signed-event order."""
-        row = self._terms.get(idx)
-        if row is None:
-            events, (signed,) = event_table(self.variables, (idx,))
-            ids = [self._event_id(key) for key in events]
-            row = self._terms[idx] = (
-                tuple(ids[pos] for pos, _ in signed),
-                tuple(sign for _, sign in signed),
-            )
-        return row
-
-    def cells(self, eid):
-        return self._cells[eid]
-
-    def _event_id(self, key):
-        eid = self._ids.get(key)
-        if eid is None:
-            eid = self._ids[key] = len(self._cells)
-            pinned = dict(zip(*key))
-            # C-order flat positions; events pin most variables, so the
-            # lists stay short
-            flat = [0]
-            for s in self.variables:
-                levels = pinned.get(s.name, range(1, s.cardinality + 1))
-                flat = [f * s.cardinality + (l - 1) for f in flat for l in levels]
-            self._cells.append(tuple(sorted(flat)))
-        return eid
-
-
 def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledSystem:
     """The system as h(pi) = C log(A pi), read through ``cache``.
 
-    Without a cache a fresh one is made.  Events keep the first-seen order
-    of ``event_table(variables, system.indices)``: it fixes the summation
-    order of C log(A pi).
+    Without a cache a fresh one is made; a cache built with a context is
+    refused.  Events keep their first-seen order among the terms of
+    ``system.indices``, as a fresh cache numbers them: it fixes the
+    summation order of C log(A pi).
     """
     variables = tuple(variables)
     if cache is None:
         cache = EventCache(variables)
     elif cache.variables != variables:
         raise ValueError("event cache was built for other variables")
+    elif cache.context:
+        raise ValueError("event cache was built with a context")
     n_cells = math.prod(s.cardinality for s in variables)
     indices = system.indices
     terms = [cache.terms(idx) for idx in indices]

@@ -13,19 +13,16 @@ First-order parameters therefore come out as log(reference/observed),
 matching the printed closed forms; a dedicated convention test pins this
 direction once and for all.
 
-``event_table`` is the one place that walks the signed events: it lists
-the distinct (margin, levels) events of a set of parameters and each
-parameter's signed terms over them.  Every evaluator reads it.
-``param_values`` (hence ``param_value``, ``param_vector`` and
-``constraints.evaluate_system``) marginalizes each margin once and sums
-each event's slice of the marginal array once; ``fitting.compile_system``
-turns the same table, read one index at a time through a cache, into a
-dense 0/1 event-by-cell matrix A, which the solver needs for its Jacobian
-anyway.  One-off evaluation keeps slice sums: dense per-margin
-event-by-cell blocks for the 2187-cell fig4 parameter vector raised peak
-memory by about a fifth on a 2-vCPU Xeon (146 MB to 181 MB in the
-benchmark's fit-dense workload, 125 MB to 152 MB for a fit plus
-param_vector alone).
+``EventCache`` is the one place that walks the signed events: it numbers
+the distinct (margin, levels) events of the parameters it reads and lists
+each parameter's signed terms over them.  ``param_values`` (hence
+``param_value``, ``param_vector``, ``conditional_param`` and
+``constraints.evaluate_system``) numbers its events through a fresh cache,
+marginalizes each margin once and sums each event's slice of the marginal
+array once; those slice sums fix the summation order of every value the
+package reports.  ``fitting.compile_system`` reads a cache's terms and
+each event's cells into the event map A of h(pi) = C log(A pi), and a
+model search shares one cache per process across its compiles.
 """
 
 from __future__ import annotations
@@ -166,31 +163,67 @@ def param_index(variables, margin, effect, cell) -> ParamIndex:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def event_table(variables, indices, context=None):
-    """The distinct events of ``indices`` and each index's signed terms.
+class EventCache:
+    """Each parameter index's signed events, numbered once.
 
-    Returns (events, terms): ``events`` lists (margin, levels) keys in
-    first-seen order, ``levels`` holding one level tuple per margin
-    variable in declaration order; ``terms[i]`` lists the (event position,
-    sign) pairs of ``indices[i]`` in signed-event order.  ``context`` pins
-    non-effect margin variables as in ``signed_events``, for every index.
-
-    ``fitting.EventCache`` calls it one index at a time and numbers the
-    events across a whole model search; a compile then puts its events
-    back in the first-seen order this function gives for all its indices.
+    ``terms(idx)`` walks ``signed_events`` for idx and gives the event ids
+    and signs of its terms in signed-event order; an event id numbers a
+    distinct (margin, levels) event in the order the cache first met it.
+    ``event(eid)`` is that key, ``levels`` holding one level tuple per
+    margin variable in declaration order, and ``cells(eid)`` the event's
+    flat cell positions in the table, ascending, computed on first request.
+    ``context`` pins non-effect margin variables as in ``signed_events``,
+    for every index the cache reads.
     """
-    event_pos = {}
-    terms = []
-    for idx in indices:
-        mspecs = subset_in_order(variables, idx.margin)
-        margin = variable_names(mspecs)
-        cell = dict(zip(idx.effect, idx.cell))
-        row = []
-        for sign, event in signed_events(mspecs, idx.effect, cell, context):
-            key = (margin, tuple(event[name] for name in margin))
-            row.append((event_pos.setdefault(key, len(event_pos)), sign))
-        terms.append(row)
-    return list(event_pos), terms
+
+    def __init__(self, variables, context=None):
+        self.variables = tuple(variables)
+        self.context = context
+        self._terms = {}
+        self._ids = {}
+        self._events = []
+        self._cells = {}
+
+    def __len__(self):
+        """The number of events numbered so far."""
+        return len(self._events)
+
+    def terms(self, idx):
+        """Event ids and signs of idx's terms, in signed-event order."""
+        row = self._terms.get(idx)
+        if row is None:
+            mspecs = subset_in_order(self.variables, idx.margin)
+            margin = variable_names(mspecs)
+            cell = dict(zip(idx.effect, idx.cell))
+            signed = signed_events(mspecs, idx.effect, cell, self.context)
+            row = self._terms[idx] = (
+                tuple(self._event_id((margin, tuple(ev[n] for n in margin))) for _, ev in signed),
+                tuple(sign for sign, _ in signed),
+            )
+        return row
+
+    def event(self, eid):
+        return self._events[eid]
+
+    def cells(self, eid):
+        flat = self._cells.get(eid)
+        if flat is None:
+            pinned = dict(zip(*self._events[eid]))
+            # C-order flat positions; events pin most variables, so the
+            # lists stay short
+            flat = [0]
+            for s in self.variables:
+                levels = pinned.get(s.name, range(1, s.cardinality + 1))
+                flat = [f * s.cardinality + (l - 1) for f in flat for l in levels]
+            flat = self._cells[eid] = tuple(sorted(flat))
+        return flat
+
+    def _event_id(self, key):
+        eid = self._ids.get(key)
+        if eid is None:
+            eid = self._ids[key] = len(self._events)
+            self._events.append(key)
+        return eid
 
 
 def param_values(pv: ProbabilityVector, indices, context=None) -> list:
@@ -198,23 +231,25 @@ def param_values(pv: ProbabilityVector, indices, context=None) -> list:
 
     Raises ZeroMassSliceError for the first index with a non-positive event.
     """
-    events, terms = event_table(pv.variables, indices, context)
+    cache = EventCache(pv.variables, context)
+    terms = [cache.terms(idx) for idx in indices]
     marginals = {}
     masses = []
-    for margin, levels in events:
+    for eid in range(len(cache)):
+        margin, levels = cache.event(eid)
         if margin not in marginals:
             marginals[margin] = marginalize(pv, margin).as_array()
         sel = np.ix_(*(np.array(lv) - 1 for lv in levels))
         masses.append(float(marginals[margin][sel].sum()))
     out = []
-    for idx, row in zip(indices, terms):
+    for idx, (ids, signs) in zip(indices, terms):
         total = 0.0
-        for pos, sign in row:
-            if masses[pos] <= 0.0:
+        for eid, sign in zip(ids, signs):
+            if masses[eid] <= 0.0:
                 raise ZeroMassSliceError(
                     f"zero-probability event for parameter {idx.margin}/{idx.effect}"
                 )
-            total += sign * math.log(masses[pos])
+            total += sign * math.log(masses[eid])
         out.append(total)
     return out
 
@@ -243,7 +278,7 @@ def conditional_param(pv: ProbabilityVector, margin, effect, cell, context) -> f
         raise StatementError(
             f"context must pin exactly the margin variables outside the effect {rest}"
         )
-    return param_value(pv, margin, effect, cell, context=context)
+    return param_values(pv, [idx], context)[0]
 
 
 # ---------------------------------------------------------------------------

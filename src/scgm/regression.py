@@ -337,16 +337,15 @@ def mixed_param_indices(graph: StratifiedChainGraph, alloc: EffectAllocation):
     return tuple(i for i in alloc.indices() if i in chosen)
 
 
-def scgm_constraint_system(graph, variables, alloc=None) -> ConstraintSystem:
+def scgm_constraint_system(graph, variables) -> ConstraintSystem:
     """Linear constraints of the stratified chain graph model.
 
     Union of the per-statement constraint systems over the graph's
     independence statements, generated against the graph's own marginal
-    sequence (or a caller-supplied allocation).
+    sequence.
     """
     _check_vertices(graph, variables)
-    if alloc is None:
-        alloc = allocate_effects(variables, marginal_sets(graph))
+    alloc = allocate_effects(variables, marginal_sets(graph))
     stmts = stratified_markov(graph, variables)
     systems = [generate_constraints(s, variables, alloc) for s in stmts]
     return merge_systems(variables, systems, origin="chain graph model")

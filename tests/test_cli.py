@@ -446,21 +446,23 @@ def test_oracle_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_module_entry_point_reports_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "scgm.cli", "--version"],
-        capture_output=True, text=True,
+def run_module(module, *args):
+    """``python -m module args`` with the package's source on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
+
+
+def test_module_entry_point_reports_version():
+    proc = run_module("scgm.cli", "--version")
     assert proc.returncode == 0
     assert "scgm" in proc.stdout
 
 
 def test_package_runs_as_a_module():
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "scgm", "--version"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_module("scgm", "--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("scgm ")
 

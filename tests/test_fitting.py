@@ -15,6 +15,7 @@ import scipy.special
 from scgm.cli import RunConfig, _search_text
 from scgm.constraints import ConstraintSystem, Row, Term, generate_constraints, parse_statement
 import scgm.fitting
+import scgm.params
 from scgm.errors import InfeasibleSystemError, OptionError, StatementError, ZeroMassSliceError
 from scgm.fitting import (
     AIC_FORMULA,
@@ -36,7 +37,7 @@ from scgm.fitting import (
 )
 from scgm.graphs import Stratum, load_graph, parse_graph, render_graph, stratified_markov
 from scgm.oracle import random_positive
-from scgm.params import event_table, param_index, param_value
+from scgm.params import param_index, param_value, signed_events
 from scgm.regression import scgm_constraint_system
 from scgm.tables import ContingencyTable, VariableSpec, load_table
 
@@ -193,10 +194,19 @@ def test_plant_and_fit_reaches_zero_deviance():
 
 
 def reference_compile(variables, system):
-    """A, C and P built event by event from ``event_table``, without a cache."""
+    """A, C and P built event by event from ``signed_events``, without a cache."""
     shape = tuple(s.cardinality for s in variables)
     names = [s.name for s in variables]
-    events, terms = event_table(variables, system.indices)
+    events = {}  # (margin, levels) -> position, in first-seen order
+    terms = []
+    for idx in system.indices:
+        mspecs = [s for s in variables if s.name in idx.margin]
+        margin = tuple(s.name for s in mspecs)
+        cell = dict(zip(idx.effect, idx.cell))
+        terms.append([
+            (events.setdefault((margin, tuple(event[n] for n in margin)), len(events)), sign)
+            for sign, event in signed_events(mspecs, idx.effect, cell)
+        ])
     A = np.empty((len(events), int(np.prod(shape))))
     for pos, (margin, levels) in enumerate(events):
         pinned = dict(zip(margin, levels))
@@ -232,6 +242,8 @@ def assert_same_arrays(got, want):
 
 
 def test_compile_system_rejects_a_cache_for_other_variables():
+    # the fit compiles through the cache that numbers every parameter's events
+    assert EventCache is scgm.params.EventCache
     system = scgm_constraint_system(FIG_A, V5)
     other = (VariableSpec("1", 3),) + V5[1:]
     with pytest.raises(ValueError, match="other variables"):
@@ -239,6 +251,8 @@ def test_compile_system_rejects_a_cache_for_other_variables():
     table = ContingencyTable(V5, 10000.0 * planted_fig_a(0))
     with pytest.raises(ValueError, match="other variables"):
         fit_constrained(table, system, cache=EventCache(V5[::-1]))
+    with pytest.raises(ValueError, match="with a context"):
+        compile_system(V5, system, EventCache(V5, {"1": 1}))
 
 
 def test_compiled_parameters_match_param_value():
@@ -526,6 +540,26 @@ def test_search_trace_is_deterministic_and_refits():
     assert doc["final_fit"]["schema"] == "scgm-fit/1"
 
 
+def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch):
+    import concurrent.futures
+
+    executor = concurrent.futures.ProcessPoolExecutor
+    pools = []
+
+    def recording_executor(*args, max_workers=None, **kwargs):
+        pools.append(max_workers)
+        return executor(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
+    table = table_with_context_specific_absence()
+    traces = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        traces.append(trace_to_json(model_search(table, SKEL4)))
+    assert pools == [1, 2]
+    assert traces[0] == traces[1]
+
+
 def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch, tmp_path):
     compile_cached = scgm.fitting.compile_system
     record = recorder(tmp_path / "compiles.jsonl")
@@ -564,16 +598,15 @@ def test_each_search_starts_an_empty_cache(monkeypatch, tmp_path):
     record_walk, record_read = recorder(walks_log), recorder(reads_log)
     terms = EventCache.terms
 
-    def counting(*args, **kwargs):
-        (idx,) = args[1]
-        record_walk(repr(idx))
-        return event_table(*args, **kwargs)
+    def counting(margin_specs, effect, cell, context=None):
+        record_walk(repr(([s.name for s in margin_specs], effect, cell)))
+        return signed_events(margin_specs, effect, cell, context)
 
     def sized_terms(self, idx):
         record_read(id(self), len(self._terms))
         return terms(self, idx)
 
-    monkeypatch.setattr(scgm.fitting, "event_table", counting)
+    monkeypatch.setattr(scgm.params, "signed_events", counting)
     monkeypatch.setattr(EventCache, "terms", sized_terms)
     table = table_with_context_specific_absence()
     searches = []
