@@ -1,23 +1,32 @@
 """Translate independence statements into linear constraints on parameters.
 
 generate_constraints is the one entry point.  It validates a statement,
-picks the margin its rows sit on and builds one of three row shapes:
+picks the margin its rows sit on and builds one of two row shapes:
 
-* plain independence: every parameter of an effect straddling both sides,
-  widened by any subset of the conditioning set, vanishes; any coding.
+* single-parameter rows over a region: for every effect straddling both
+  sides, widened by any subset of the conditioning set, each parameter
+  whose conditioning coordinates sit at or above a per-variable lower
+  bound vanishes.  A plain independence is the region at bound 1 on every
+  conditioning variable, under any coding.  An upper threshold (>=) is the
+  region at its bound, which needs local or continuation conditioning
+  variables.  A lower threshold (<=) is an upper one on reversed scales,
+  so it needs local or reverse-continuation ones.
 * context cells (a cell list or an asterisk pattern): per context cell, one
   signed row per straddling effect and effect cell, alternating over
   subsets of the conditioning set.  Each conditioning variable is baseline
   (pins its context coordinate; top levels drop out by nullity) or local
   (contributes the lattice sum at or above it).
-* thresholds: inside an upper threshold (>=) the region's parameters vanish
-  one by one, which needs local or continuation conditioning variables.  A
-  lower threshold (<=) is an upper one on reversed scales, so it needs
-  local or reverse-continuation ones.
 
-Rows are emitted deterministically (effect, effect cell, context cell) and
-deduplicated up to a global sign; the count before deduplication is kept
-on the system because closed-form counting identities refer to it.
+Row order is deterministic.  Straddling effects come by (size, declaration
+position) in both shapes.  Region rows then run over the conditioning
+subsets by (size, position) and, within one widened effect, over its
+parameter cells in canonical order: coordinates in declaration order,
+lexicographic, last fastest.  Context-cell rows run over effect cells in
+that order and then over context cells (sorted for a list, lexicographic
+for a pattern); a row's terms follow the conditioning subsets by (size,
+position) and then the lattice sum.  Rows are deduplicated up to a global
+sign, keeping the first; the count before deduplication is kept on the
+system because closed-form counting identities refer to it.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StatementError, UnsupportedCodingError
-from .params import ParamIndex, param_index, param_values
+from .params import ParamIndex, effect_cells, index_to_json, param_index, param_values
 from .tables import (
     ProbabilityVector,
     VariableSpec,
@@ -90,7 +99,7 @@ def validate_statement(stmt: Statement, variables) -> Statement:
     if not lhs or not rhs:
         raise StatementError("both independence sides must be nonempty")
     seen = set()
-    for n in lhs + rhs + given:
+    for n in (*stmt.lhs, *stmt.rhs, *stmt.given):
         if n in seen:
             raise StatementError(f"variable {n!r} used twice in the statement")
         seen.add(n)
@@ -98,40 +107,31 @@ def validate_statement(stmt: Statement, variables) -> Statement:
     ctx = stmt.context
     if ctx is not None and not given:
         raise StatementError("a context requires conditioning variables")
+
+    def align(levels, what, wildcard=False):
+        # one level per conditioning variable as the statement lists them,
+        # put into declaration order and range-checked; None is an asterisk
+        if len(levels) != len(stmt.given):
+            raise StatementError(f"{what} length must match the conditioning set")
+        by_name = dict(zip(stmt.given, levels))
+        out = tuple(by_name[n] for n in given)
+        for n, level in zip(given, out):
+            if level is None and wildcard:
+                continue
+            if level is None or not 1 <= level <= spec_by[n].cardinality:
+                raise StatementError(f"{what} level {level} out of range for {n!r}")
+        return out
+
     if isinstance(ctx, PatternContext):
-        if len(ctx.pattern) != len(stmt.given):
-            raise StatementError("pattern length must match the conditioning set")
-        remap = dict(zip(stmt.given, ctx.pattern))
-        pattern = tuple(remap[n] for n in given)
-        for n, p in zip(given, pattern):
-            if p is not None and not 1 <= p <= spec_by[n].cardinality:
-                raise StatementError(f"pattern level {p} out of range for {n!r}")
-        ctx = PatternContext(pattern)
+        ctx = PatternContext(align(ctx.pattern, "pattern", wildcard=True))
     elif isinstance(ctx, CellListContext):
         if not ctx.cells:
             raise StatementError("context cell list is empty")
-        remapped = []
-        for cell in ctx.cells:
-            if len(cell) != len(stmt.given):
-                raise StatementError("context cell length must match the conditioning set")
-            remap = dict(zip(stmt.given, cell))
-            cell = tuple(remap[n] for n in given)
-            for n, l in zip(given, cell):
-                if not 1 <= l <= spec_by[n].cardinality:
-                    raise StatementError(f"context level {l} out of range for {n!r}")
-            remapped.append(cell)
-        ctx = CellListContext(tuple(sorted(set(remapped))))
+        ctx = CellListContext(tuple(sorted({align(c, "context cell") for c in ctx.cells})))
     elif isinstance(ctx, ThresholdContext):
-        if len(ctx.bound) != len(stmt.given):
-            raise StatementError("threshold bound length must match the conditioning set")
-        remap = dict(zip(stmt.given, ctx.bound))
-        bound = tuple(remap[n] for n in given)
-        for n, b in zip(given, bound):
-            if not 1 <= b <= spec_by[n].cardinality:
-                raise StatementError(f"threshold level {b} out of range for {n!r}")
         if ctx.direction not in ("geq", "leq"):
             raise StatementError(f"unknown threshold direction {ctx.direction!r}")
-        ctx = ThresholdContext(bound, ctx.direction)
+        ctx = ThresholdContext(align(ctx.bound, "threshold bound"), ctx.direction)
     elif ctx is not None:
         raise StatementError(f"unknown context type {type(ctx).__name__}")
     return Statement(lhs, rhs, given, ctx)
@@ -386,12 +386,6 @@ def interaction_sets(A, B):
     return out
 
 
-def _effect_cells(variables, effect):
-    spec_by = {s.name: s for s in variables}
-    ranges = [range(1, spec_by[v].cardinality) for v in effect]
-    return itertools.product(*ranges)
-
-
 def _margin_for(variables, stmt_vars, alloc):
     names = variable_names(variables)
     target = tuple(n for n in names if n in stmt_vars)
@@ -428,10 +422,7 @@ def _inner_context_terms(spec_by, c_vars, kcell_map):
                 f"explicit context cells need baseline or local coding on the "
                 f"conditioning set; {v!r} is {spec.coding}"
             )
-    cells = []
-    for combo in itertools.product(*axes):
-        cells.append(dict(combo))
-    return cells
+    return [dict(combo) for combo in itertools.product(*axes)]
 
 
 def reversed_context_specs(variables, names):
@@ -453,40 +444,19 @@ def reversed_context_specs(variables, names):
     return tuple(out)
 
 
-def _independence_terms(stmt, variables, margin, effects):
-    """Plain independence: every parameter of a straddling effect, widened
-    by any subset of the conditioning set, vanishes."""
+def _region_terms(stmt, variables, margin, effects, lower=None):
+    """Single-parameter rows: for every straddling effect, widened by each
+    subset of the conditioning set, every parameter whose conditioning
+    coordinates sit at or above ``lower`` (1 where absent) vanishes."""
     names = variable_names(variables)
+    card = {s.name: s.cardinality for s in variables}
     C = stmt.given
     for v in effects:
         for r in range(len(C) + 1):
             for c_vars in itertools.combinations(C, r):
                 effect = tuple(n for n in names if n in v + c_vars)
-                for cell in _effect_cells(variables, effect):
-                    idx = param_index(variables, margin, effect, dict(zip(effect, cell)))
-                    yield (Term(idx, 1),)
-
-
-def _upper_threshold_terms(stmt, variables, margin, effects, bound):
-    """Inside an upper threshold every parameter whose context coordinates
-    sit at or above the bound vanishes, together with the context-free
-    effects."""
-    spec_by = {s.name: s for s in variables}
-    C = stmt.given
-    bound_by = dict(zip(C, bound))
-    for v in effects:
-        for r in range(len(C) + 1):
-            for c_vars in itertools.combinations(C, r):
-                c_ranges = [
-                    range(bound_by[n], spec_by[n].cardinality) for n in c_vars
-                ]
-                for i_v in _effect_cells(variables, v):
-                    vmap = dict(zip(v, i_v))
-                    for i_c in itertools.product(*c_ranges):
-                        cmap = dict(vmap)
-                        cmap.update(zip(c_vars, i_c))
-                        idx = param_index(variables, margin, v + c_vars, cmap)
-                        yield (Term(idx, 1),)
+                for cell in effect_cells(card, effect, lower):
+                    yield (Term(param_index(variables, margin, effect, cell), 1),)
 
 
 def _context_cell_terms(stmt, variables, margin, effects):
@@ -496,10 +466,11 @@ def _context_cell_terms(stmt, variables, margin, effects):
     with the inner expansion dispatched per context-variable coding.
     """
     spec_by = {s.name: s for s in variables}
+    card = {s.name: s.cardinality for s in variables}
     kcells = context_cells(stmt, variables)
     C = stmt.given
     for v in effects:
-        for i_v in _effect_cells(variables, v):
+        for i_v in effect_cells(card, v):
             vmap = dict(zip(v, i_v))
             for kcell in kcells:
                 kmap = dict(zip(C, kcell))
@@ -526,20 +497,20 @@ def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
     """
     stmt = validate_statement(stmt, variables)
     ctx = stmt.context
+    lower = None
     if isinstance(ctx, ThresholdContext):
-        spec_by = {s.name: s for s in variables}
-        bound = ctx.bound
         if ctx.direction == "leq":
-            bound = tuple(spec_by[n].cardinality + 1 - b for n, b in zip(stmt.given, bound))
             variables = reversed_context_specs(variables, set(stmt.given))
-            spec_by = {s.name: s for s in variables}
-        for n in stmt.given:
-            coding = spec_by[n].coding
-            if coding not in ("local", "continuation"):
+        spec_by = {s.name: s for s in variables}
+        lower = {}
+        for n, b in zip(stmt.given, ctx.bound):
+            spec = spec_by[n]
+            if spec.coding not in ("local", "continuation"):
                 raise UnsupportedCodingError(
                     f"upper-threshold contexts need local or continuation coding on the "
-                    f"conditioning set; {n!r} is {coding}"
+                    f"conditioning set; {n!r} is {spec.coding}"
                 )
+            lower[n] = b if ctx.direction == "geq" else spec.cardinality + 1 - b
 
     margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
     names = variable_names(variables)
@@ -547,12 +518,10 @@ def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
         interaction_sets(stmt.lhs, stmt.rhs),
         key=lambda e: (len(e), tuple(names.index(v) for v in e)),
     )
-    if ctx is None:
-        terms = _independence_terms(stmt, variables, margin, effects)
-    elif isinstance(ctx, ThresholdContext):
-        terms = _upper_threshold_terms(stmt, variables, margin, effects, bound)
-    else:
+    if isinstance(ctx, (CellListContext, PatternContext)):
         terms = _context_cell_terms(stmt, variables, margin, effects)
+    else:
+        terms = _region_terms(stmt, variables, margin, effects, lower)
     origin = render_statement(stmt)
     rows = [Row(t, origin) for t in terms]
     return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
@@ -603,11 +572,7 @@ def system_to_json(system: ConstraintSystem) -> dict:
                 "origin": row.origin,
                 "terms": [
                     {
-                        "eta": {
-                            "margin": list(t.index.margin),
-                            "effect": list(t.index.effect),
-                            "cell": list(t.index.cell),
-                        },
+                        "eta": index_to_json(t.index),
                         "coef": t.coef,
                     }
                     for t in row.terms

@@ -18,11 +18,9 @@ of C diag(1/m).  Events pin most variables, so A is almost all zeros: a
 2187-cell fit has 1404 events and 1755 nonzeros, a dense A of 24.6 MB,
 and no cell lies in more than 2 events (d = 2; d = 1 on the 288-cell
 fits, where every event is one cell, and at most 4 on a 128-cell
-search's systems).  On the 2187-cell fit the dense product that formed
-the Jacobian made a second A-sized temporary and took about 0.075 s a
-call, six calls a fit; the gathers take about 0.014 s (2-vCPU Xeon, one
-BLAS thread) and give the same Jacobian bit for bit on every system the
-tests compare.
+search's systems).  The dense product that formed the Jacobian made a
+second A-sized temporary; the gathers make none and give the same
+Jacobian bit for bit on every system the tests compare.
 
 The map is read through the cache: each parameter index's event ids and
 signs, one id per distinct (margin, levels) event, and each event's cells
@@ -30,13 +28,12 @@ as flat cell positions.  A search's candidates share most of their
 parameters (on a 108-fit search over 128 cells, 111 distinct indices of
 5934 compiled and 279 distinct events of 15480), so each of
 ``model_search``'s worker processes makes one cache and passes it to every
-fit it runs, and the final refit in the calling process makes its own;
-one shared cache cut the search's compile time from about 1.2 s to about
-0.1 s on a 2-vCPU Xeon.  A compile orders its events by first appearance
-among its own indices' terms, as a fresh cache would number them, so A,
-C and P are the same bit for bit through any cache.  A cache lives for
-one search, neither shared across searches nor kept by the module, so a
-search costs the same whether or not the process ran one before.
+fit it runs, and the final refit in the calling process makes its own.
+A compile orders its events by first appearance among its own indices'
+terms, as a fresh cache would number them, so A, C and P are the same
+bit for bit through any cache.  A cache lives for one search, neither
+shared across searches nor kept by the module, so a search costs the
+same whether or not the process ran one before.
 
 The solver runs Lagrangian steps with the multinomial Fisher information
 as the Hessian model, with step halving on a likelihood-plus-feasibility
@@ -56,9 +53,8 @@ J dx = -h where a collapsing cell makes the gradient and its correction
 cancel; no K x R pseudo-inverse is formed.  When T's diagonal shows it
 rank-deficient, pinv(T^T) with the cutoff lstsq uses takes the inverse's
 place; that equals lstsq's minimum-norm answer whenever the diagonal test
-agrees with the SVD rank.  On a 2187-cell fit (R = 468) this cut
-the step from about 0.36 s, for an lstsq with the identity as R extra
-right-hand sides, to about 0.15 s on a 2-vCPU Xeon with one BLAS thread.
+agrees with the SVD rank.  An lstsq with the identity as R extra
+right-hand sides costs more than twice as much per step.
 
 Two simpler forms fail near the boundary.  The R x R normal equations
 B diag(pi) B^T lam = B g + h square the conditioning and leave fits with
@@ -85,9 +81,9 @@ Every graph the search fits becomes one ``Candidate`` record: the graph,
 its fit summary or the error that stopped the fit, and its statements,
 rendered in table order on first read.  Selection, ``trace_to_json`` and
 the CLI's text trace all read these records.  A record keeps the summary,
-not the ``FitResult``: holding every candidate's estimates raised the
-peak memory of a 108-fit search on 128 cells from 34.5 to 36.7 MB, so
-the final graph is fitted once more, with the same result bit for bit.
+not the ``FitResult``, whose estimates would stay in memory for every
+candidate, so the final graph is fitted once more, with the same result
+bit for bit.
 
 Within a step the candidate graphs do not depend on each other, so each
 step's batch (step one's removals, step two's restorations, each step-three
@@ -105,9 +101,7 @@ search on a 2-vCPU Xeon.  Fork is unsafe while another thread holds a
 lock; the package starts no threads of its own.  ``multiprocessing`` and
 ``concurrent.futures`` are imported inside ``model_search``: they take
 10-25 ms to import, against about 0.23 s to import the package and load
-a table, and only a search needs them.  On a 108-fit search over 128
-cells with two workers on a 2-vCPU Xeon, one BLAS thread each, the
-search's median wall time fell from 2.35 s to 1.62 s.
+a table, and only a search needs them.
 """
 
 from __future__ import annotations
@@ -139,7 +133,7 @@ from .graphs import (
     validate,
 )
 # param_value is re-exported: callers wrap it under this module's name
-from .params import EventCache, param_value  # noqa: F401
+from .params import EventCache, index_to_json, param_value  # noqa: F401
 from .regression import scgm_constraint_system
 from .tables import ContingencyTable, ProbabilityVector, variables_to_json
 
@@ -658,15 +652,7 @@ def fit_to_json(result: FitResult, system: ConstraintSystem | None = None) -> di
         "iterations": result.iterations,
         "kkt_residual": result.kkt_residual,
         "pi_hat": [float(v) for v in result.pi_hat.as_array().ravel()],
-        "eta_hat": [
-            {
-                "margin": list(idx.margin),
-                "effect": list(idx.effect),
-                "cell": list(idx.cell),
-                "value": val,
-            }
-            for idx, val in result.eta_hat.items()
-        ],
+        "eta_hat": [{**index_to_json(idx), "value": val} for idx, val in result.eta_hat.items()],
     }
     if system is not None:
         out["n_constraint_rows"] = len(system.rows)
@@ -882,7 +868,10 @@ def model_search(
 
     links = _links(skeleton)
     fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1  # None when the count is unknown
     # a skeleton without links still fits its joint removal
     with ProcessPoolExecutor(
         max_workers=max(1, min(cpus, len(links))),

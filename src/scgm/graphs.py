@@ -646,19 +646,32 @@ def graph_to_json(graph: StratifiedChainGraph) -> dict:
     }
 
 
+def _json_vertices(value, what, size=None):
+    """A JSON list of vertex names as a tuple, of ``size`` names if given."""
+    if (
+        not isinstance(value, list)
+        or not all(isinstance(v, str) for v in value)
+        or (size is not None and len(value) != size)
+    ):
+        count = "vertex names" if size is None else f"{size} vertex names"
+        raise GraphFormatError(f"{what} must be a list of {count}, got {value!r}")
+    return tuple(value)
+
+
 def graph_from_json(obj: dict) -> StratifiedChainGraph:
     if obj.get("schema") != "scgm-graph/1":
         raise GraphFormatError(f"unsupported graph schema {obj.get('schema')!r}")
     try:
         components = tuple(
-            (c["name"], tuple(c["vertices"])) for c in obj["components"]
+            (c["name"], _json_vertices(c["vertices"], f"component {c['name']} vertices"))
+            for c in obj["components"]
         )
-        edges = tuple(tuple(e) for e in obj.get("edges", []))
-        arcs = tuple(tuple(a) for a in obj.get("arcs", []))
+        edges = tuple(_json_vertices(e, "an edge", 2) for e in obj.get("edges", []))
+        arcs = tuple(_json_vertices(a, "an arc", 2) for a in obj.get("arcs", []))
         strata = tuple(
             Stratum(
-                tuple(s["pair"]),
-                tuple(s["given"]),
+                _json_vertices(s["pair"], "a stratum pair", 2),
+                _json_vertices(s["given"], "a stratum's conditioning set"),
                 tuple(tuple(p) for p in s["patterns"]),
             )
             for s in obj.get("strata", [])

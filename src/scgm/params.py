@@ -134,6 +134,21 @@ class ParamIndex:
         return (self.margin, self.effect, self.cell)
 
 
+def index_to_json(idx: ParamIndex) -> dict:
+    """The JSON object of an index, as every output file spells it."""
+    return {"margin": list(idx.margin), "effect": list(idx.effect), "cell": list(idx.cell)}
+
+
+def effect_cells(cardinality, effect, lower=None):
+    """Parameter cells of an effect in lexicographic order, last fastest.
+
+    ``cardinality`` maps names to level counts.  Each coordinate runs over
+    lower..I-1, with ``lower`` mapping names to a bound, 1 where absent.
+    """
+    lower = lower or {}
+    return itertools.product(*(range(lower.get(v, 1), cardinality[v]) for v in effect))
+
+
 def param_index(variables, margin, effect, cell) -> ParamIndex:
     """Canonicalize an index: declaration order, validated coordinates."""
     mspecs = subset_in_order(variables, tuple(margin))
@@ -314,15 +329,14 @@ class EffectAllocation:
         lexicographic order with the last coordinate fastest.
         """
         names = variable_names(self.variables)
-        spec_by = {s.name: s for s in self.variables}
+        card = {s.name: s.cardinality for s in self.variables}
         for margin in self.marginals:
             effects = sorted(
                 self.effects_in(margin),
                 key=lambda e: (len(e), tuple(names.index(v) for v in e)),
             )
             for effect in effects:
-                ranges = [range(1, spec_by[v].cardinality) for v in effect]
-                for cell in itertools.product(*ranges):
+                for cell in effect_cells(card, effect):
                     yield ParamIndex(margin, effect, cell)
 
 
@@ -412,8 +426,7 @@ def baseline_from_local(vector: ParamVector) -> ParamVector:
     out = {}
     for idx in alloc.indices():
         total = 0.0
-        ranges = [range(c, card[v]) for v, c in zip(idx.effect, idx.cell)]
-        for upper in itertools.product(*ranges):
+        for upper in effect_cells(card, idx.effect, dict(zip(idx.effect, idx.cell))):
             total += vector.values[ParamIndex(idx.margin, idx.effect, upper)]
         out[idx] = total
     return ParamVector(alloc, out)

@@ -51,6 +51,8 @@ from .params import (
     EffectAllocation,
     ParamVector,
     allocate_effects,
+    effect_cells,
+    index_to_json,
     param_index,
 )
 from .tables import variable_names, variables_to_json
@@ -147,11 +149,6 @@ def _coefficient_families(names, members, pa):
             yield A, t, margin, effect, -1.0 if len(t) % 2 else 1.0
 
 
-def _param_cells(spec_by, vars_):
-    ranges = [range(1, spec_by[v].cardinality) for v in vars_]
-    return itertools.product(*ranges)
-
-
 def graph_allocation(graph: StratifiedChainGraph, variables) -> EffectAllocation:
     """Allocation over the graph's marginal sequence."""
     _check_vertices(graph, variables)
@@ -182,6 +179,7 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
     _check_vertices(graph, variables)
     names = variable_names(variables)
     spec_by = {s.name: s for s in variables}
+    card = {s.name: s.cardinality for s in variables}
 
     # every variable is a response of one component
     standard = all(s.coding in ("baseline", "local") for s in variables)
@@ -209,9 +207,9 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
                     f"the component margin {margin}; the allocation must "
                     "follow the graph's marginal sequence"
                 )
-            for i_t in _param_cells(spec_by, t):
+            for i_t in effect_cells(card, t):
                 inner = _inner_context_terms(spec_by, t, dict(zip(t, i_t)))
-                for i_A in _param_cells(spec_by, A):
+                for i_A in effect_cells(card, A):
                     amap = dict(zip(A, i_A))
                     total = 0.0
                     for cell in inner:
@@ -246,21 +244,22 @@ def params_from_regression(system: RegressionSystem) -> ParamVector:
     variables = system.variables
     names = variable_names(variables)
     spec_by = {s.name: s for s in variables}
+    card = {s.name: s.cardinality for s in variables}
     values = dict(system.mixed)
 
     for comp in system.components:
         families = _coefficient_families(names, comp.members, comp.covariates)
         for A, t, margin, effect, sign in families:
             locals_ = tuple(v for v in t if spec_by[v].coding == "local")
-            for i_t in _param_cells(spec_by, t):
+            for i_t in effect_cells(card, t):
                 base = dict(zip(t, i_t))
-                for i_A in _param_cells(spec_by, A):
+                for i_A in effect_cells(card, A):
                     total = 0.0
                     for s in _subsets(locals_):
                         shifted = dict(base)
                         for v in s:
                             shifted[v] += 1
-                        if any(shifted[v] >= spec_by[v].cardinality for v in t):
+                        if any(shifted[v] >= card[v] for v in t):
                             continue
                         term = system.table[(A, i_A, t, tuple(shifted[v] for v in t))]
                         total += (-1.0 if len(s) % 2 else 1.0) * term
@@ -314,7 +313,7 @@ def mixed_param_indices(graph: StratifiedChainGraph, alloc: EffectAllocation):
     """
     variables = alloc.variables
     names = variable_names(variables)
-    spec_by = {s.name: s for s in variables}
+    card = {s.name: s.cardinality for s in variables}
     chosen = set()
     for name, members in chain_components(graph):
         pa = set(parents_of_component(graph, name))
@@ -332,7 +331,7 @@ def mixed_param_indices(graph: StratifiedChainGraph, alloc: EffectAllocation):
                     raise AllocationCoverageError(
                         f"effect {effect} has no slot in the allocation"
                     )
-                for cell in _param_cells(spec_by, effect):
+                for cell in effect_cells(card, effect):
                     chosen.add(param_index(variables, margin, effect, cell))
     return tuple(i for i in alloc.indices() if i in chosen)
 
@@ -362,12 +361,10 @@ def conditional_table(system: RegressionSystem, name: str):
     matrix of subset sums, each entry ``conditional_logit``'s value there.
     """
     comp = system.component(name)
-    spec_by = {s.name: s for s in system.variables}
-    ctx_ranges = [range(1, spec_by[v].cardinality + 1) for v in comp.covariates]
+    card = {s.name: s.cardinality for s in system.variables}
+    ctx_ranges = [range(1, card[v] + 1) for v in comp.covariates]
     contexts = [dict(zip(comp.covariates, c)) for c in itertools.product(*ctx_ranges)]
-    columns = [
-        (A, i_A) for A in _subsets(comp.members)[1:] for i_A in _param_cells(spec_by, A)
-    ]
+    columns = [(A, i_A) for A in _subsets(comp.members)[1:] for i_A in effect_cells(card, A)]
     values = [
         [conditional_logit(system, dict(zip(A, i_A)), ctx) for A, i_A in columns]
         for ctx in contexts
@@ -411,15 +408,7 @@ def regression_report(system: RegressionSystem) -> dict:
         "variables": variables_to_json(system.variables),
         "standard_response_codings": system.standard_response_codings,
         "components": comps,
-        "mixed": [
-            {
-                "margin": list(idx.margin),
-                "effect": list(idx.effect),
-                "cell": list(idx.cell),
-                "value": val,
-            }
-            for idx, val in system.mixed
-        ],
+        "mixed": [{**index_to_json(idx), "value": val} for idx, val in system.mixed],
     }
 
 

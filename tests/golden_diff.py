@@ -1,22 +1,23 @@
-"""Recompute the golden fit, search and report files and compare them with tests/golden.
+"""Recompute the golden fit, search, report and constraint files and compare them with tests/golden.
 
 Run from the root of a checkout:
 
     python3 tests/golden_diff.py            # compare only
     python3 tests/golden_diff.py --write    # compare, then overwrite the files
 
-For each of the five golden files pinned bit for bit by the tests (two
-fits, two searches and one regression report) it prints whether the
-recomputed bytes match, whether every field that is not a float is equal
-(keys, list lengths, ints, strings, bools, nulls), and, for each float
-field, the largest absolute and relative difference over its occurrences.
-A field is named by its JSON path with list positions dropped, so
-``pi_hat[]`` covers every cell.  A differing non-float field is listed once
-per path, with its first difference and a count of the rest, so that the
-report's CSV cells (strings) do not flood the listing.  The outputs come
-from the helpers that the golden tests in test_fitting.py, test_cli.py and
-test_regression.py compare with the files.  The exit status is 0 when
-every file matches byte for byte or was written, 1 otherwise.
+For each of the ten golden files pinned bit for bit by the tests (two
+fits, two searches, one regression report and five constraint systems)
+it prints whether the recomputed bytes match, whether every field that is
+not a float is equal (keys, list lengths, ints, strings, bools, nulls),
+and, for each float field, the largest absolute and relative difference
+over its occurrences.  A field is named by its JSON path with list
+positions dropped, so ``pi_hat[]`` covers every cell.  A differing
+non-float field is listed once per path, with its first difference and a
+count of the rest, so that the report's CSV cells (strings) do not flood
+the listing.  The outputs come from the helpers that the golden tests in
+test_fitting.py, test_cli.py, test_regression.py and test_constraints.py
+compare with the files.  The exit status is 0 when every file matches
+byte for byte or was written, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from test_cli import chain_search_text, write_chain_inputs  # noqa: E402
+from test_constraints import GOLDEN_STATEMENTS, golden_constraints_text  # noqa: E402
 from test_fitting import GOLDEN, golden_fit_text, golden_skel4_text  # noqa: E402
 from test_regression import golden_report_text  # noqa: E402
 
@@ -43,6 +45,8 @@ GOLDENS = {
     "search_chain3.json": lambda tmp: chain_search_text(write_chain_inputs(tmp)),
     "report_fig4_288.json": lambda tmp: golden_report_text(),
 }
+for _name in ["fig_b"] + sorted(GOLDEN_STATEMENTS):
+    GOLDENS[f"constraints_{_name}.json"] = lambda tmp, name=_name: golden_constraints_text(name)
 
 
 def compare(old, new, path="", floats=None, mismatches=None):

@@ -122,6 +122,40 @@ def test_validate_non_integer_context_level_is_a_parse_error(tmp_path, capsys, n
         assert "line 4" in err
 
 
+def _graph_json(**fields):
+    graph = {
+        "schema": "scgm-graph/1",
+        "components": [{"name": "T1", "vertices": ["1"]},
+                       {"name": "T2", "vertices": ["2", "3"]}],
+        "edges": [],
+        "arcs": [["1", "2"]],
+        "strata": [],
+    }
+    graph.update(fields)
+    return json.dumps(graph)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_graph_json(edges=[["1", "2", "3"]]), "an edge must be a list of 2 vertex names"),
+        (_graph_json(arcs=[["1"]]), "an arc must be a list of 2 vertex names"),
+        (_graph_json(strata=[{"pair": ["1", "2", "3"], "given": [], "patterns": [[]]}]),
+         "a stratum pair must be a list of 2 vertex names"),
+        (_graph_json(components=[{"name": "T1", "vertices": "123"}]),
+         "component T1 vertices must be a list of vertex names"),
+    ],
+    ids=["edge", "arc", "stratum-pair", "vertices-string"],
+)
+def test_validate_misshapen_json_graph_is_a_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # markov
 

@@ -216,6 +216,45 @@ def test_mixed_coding_threshold_nine_rows():
     assert effects == sorted(effects, key=lambda e: (len(e), e))
 
 
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        Statement(("1",), ("2",), ("3", "4")),
+        Statement(("2",), ("4",), ("1", "3")),
+        Statement(("1", "4"), ("3",), ("2",)),
+    ],
+)
+def test_threshold_at_the_bottom_gives_the_plain_rows_in_order(stmt):
+    # the region at bound 1 is the whole parameter space of the widened
+    # effects; the last two statements declare a conditioning variable
+    # before a side variable
+    vs = V((3, "local"), (4, "local"), (3, "local"), (3, "local"))
+    plain = generate_constraints(stmt, vs)
+    for direction in ("geq", "leq"):
+        bound = (1,) * len(stmt.given)
+        if direction == "leq":
+            # the lower threshold's region at the top level is the same
+            # region on reversed scales
+            bound = tuple(vs[int(n) - 1].cardinality for n in stmt.given)
+        ctx = ThresholdContext(bound, direction)
+        cs = generate_constraints(Statement(stmt.lhs, stmt.rhs, stmt.given, ctx), vs)
+        assert [r.terms for r in cs.rows] == [r.terms for r in plain.rows]
+        assert cs.pre_dedup_count == plain.pre_dedup_count
+
+
+def test_threshold_rows_come_in_canonical_parameter_order():
+    # the conditioning variable 2 is declared before the side variable 4
+    # and keeps two region levels, so its coordinate is not the fastest
+    vs = V((3, "baseline"), (4, "local"), (2, "baseline"), (4, "baseline"))
+    sys_ = generate_constraints(parse_statement("CS: {1} _||_ {4} | {2} >= (2)"), vs)
+    got = [(r.terms[0].index.effect, r.terms[0].index.cell) for r in sys_.rows]
+    want = [(("1", "4"), c) for c in itertools.product((1, 2), (1, 2, 3))]
+    want += [(("1", "2", "4"), c) for c in itertools.product((1, 2), (2, 3), (1, 2, 3))]
+    assert got == want
+    assert all(len(r.terms) == 1 and r.terms[0].coef == 1 for r in sys_.rows)
+    assert {r.terms[0].index.margin for r in sys_.rows} == {("1", "2", "4")}
+
+
 def test_conditional_zero_set_binary_triple():
     vs = V((2, "baseline"), (2, "baseline"), (2, "baseline"))
     sys_ = generate_constraints(Statement(("1",), ("2",), ("3",)), vs)
@@ -495,6 +534,36 @@ def test_statement_validation_errors():
         validate_statement(
             Statement(("1",), ("2",), ("3",), PatternContext((1, 2))), vs
         )
+    # a name repeated inside one set, whose context levels could disagree
+    with pytest.raises(StatementError):
+        validate_statement(Statement(("1", "1"), ("2",), ()), vs)
+    with pytest.raises(StatementError):
+        validate_statement(
+            Statement(("1",), ("2",), ("3", "3"), PatternContext((1, 2))), vs
+        )
+
+
+@pytest.mark.parametrize(
+    "context",
+    [
+        PatternContext((1,)),
+        PatternContext((1, None, 2)),
+        PatternContext((None, 4)),
+        PatternContext((0, None)),
+        CellListContext(((1, 2), (1,))),
+        CellListContext(((1, 2), (1, 3))),
+        CellListContext(((1, None),)),
+        ThresholdContext((2,), "geq"),
+        ThresholdContext((2, 2, 2), "leq"),
+        ThresholdContext((1, 4), "geq"),
+        ThresholdContext((0, 1), "leq"),
+    ],
+)
+def test_each_context_kind_checks_length_and_levels(context):
+    # conditioning set {3,4}: 3 has 3 levels, 4 has 2
+    vs = V((2, "local"), (2, "local"), (3, "local"), (2, "local"))
+    with pytest.raises(StatementError):
+        validate_statement(Statement(("1",), ("2",), ("3", "4"), context), vs)
 
 
 def test_statement_canonicalizes_variable_order():
@@ -634,19 +703,23 @@ GOLDEN_STATEMENTS = {
 }
 
 
-def _golden_text(system):
+def golden_constraints_text(name):
+    """The system pinned by golden/constraints_<name>.json, as written there:
+    fig_b on its own allocation (plain and pattern-context statements), or
+    one of GOLDEN_STATEMENTS on MIXED_VARS."""
+    if name == "fig_b":
+        system = scgm_constraint_system(load_graph(GOLDEN / "fig_b.graph"), FIG_B_VARS)
+    else:
+        system = generate_constraints(parse_statement(GOLDEN_STATEMENTS[name]), MIXED_VARS)
     return json.dumps(system_to_json(system), indent=1, sort_keys=True) + "\n"
 
 
 def test_graph_system_matches_golden():
-    # fig_b on its own allocation: plain and pattern-context statements
-    system = scgm_constraint_system(load_graph(GOLDEN / "fig_b.graph"), FIG_B_VARS)
     want = (GOLDEN / "constraints_fig_b.json").read_text(encoding="utf-8")
-    assert _golden_text(system) == want
+    assert golden_constraints_text("fig_b") == want
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATEMENTS))
 def test_statement_system_matches_golden(name):
-    system = generate_constraints(parse_statement(GOLDEN_STATEMENTS[name]), MIXED_VARS)
     want = (GOLDEN / f"constraints_{name}.json").read_text(encoding="utf-8")
-    assert _golden_text(system) == want
+    assert golden_constraints_text(name) == want

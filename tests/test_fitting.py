@@ -540,17 +540,23 @@ def test_search_trace_is_deterministic_and_refits():
     assert doc["final_fit"]["schema"] == "scgm-fit/1"
 
 
-def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every process pool opened during the test."""
     import concurrent.futures
 
     executor = concurrent.futures.ProcessPoolExecutor
-    pools = []
+    sizes = []
 
     def recording_executor(*args, max_workers=None, **kwargs):
-        pools.append(max_workers)
+        sizes.append(max_workers)
         return executor(*args, max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_executor)
+    return sizes
+
+
+def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch, pools):
     table = table_with_context_specific_absence()
     traces = []
     for cpus in ({0}, {0, 1}):
@@ -558,6 +564,17 @@ def test_search_trace_does_not_depend_on_the_worker_count(monkeypatch):
         traces.append(trace_to_json(model_search(table, SKEL4)))
     assert pools == [1, 2]
     assert traces[0] == traces[1]
+
+
+def test_search_runs_one_worker_when_the_core_count_is_unknown(monkeypatch, pools):
+    table = table_with_context_specific_absence()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two = trace_to_json(model_search(table, SKEL4))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    one = trace_to_json(model_search(table, SKEL4))
+    assert pools == [2, 1]
+    assert one == two
 
 
 def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch, tmp_path):
