@@ -126,10 +126,10 @@ from .errors import (
 from .graphs import (
     Stratum,
     StratifiedChainGraph,
-    parents_of_component,
     render_graph,
     render_stratum,
     stratified_markov,
+    stratum_scope,
     validate,
 )
 # param_value is re-exported: callers wrap it under this module's name
@@ -771,6 +771,10 @@ def _pick(candidates, criterion, alpha):
 def _stratum_candidates(graph, link, variables):
     """Admissible context-specific strata for one absent link.
 
+    The context variables are the pair's scope in the graph without the
+    link, as ``graphs.stratum_scope`` gives it.  A link with no stratified
+    form there (the sole arc between two components), or with an empty
+    scope, has no candidates.
     Single-row patterns with up to three pinned context variables, plus
     one-variable threshold regions in both directions; strata whose rows
     cover every context cell are skipped (they equal the plain absence).
@@ -779,16 +783,8 @@ def _stratum_candidates(graph, link, variables):
     spec_by = {s.name: s for s in variables}
     pair = (u, v) if kind == "edge" else (v, u)
     stripped = _without_link(graph, link)
-    if kind == "edge":
-        scope = parents_of_component(stripped, graph.component_of(u))
-    else:
-        parents = parents_of_component(stripped, graph.component_of(v))
-        if u not in parents:
-            # that was the sole arc from the parent component: without it
-            # the pair has no parent relation, so no stratified form exists
-            return []
-        scope = tuple(w for w in parents if w != u)
-    if not scope:
+    _, _, scope, problem = stratum_scope(stripped, pair)
+    if problem is not None or not scope:
         return []
 
     seen = set()

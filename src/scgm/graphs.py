@@ -7,6 +7,12 @@ covariate contexts under which the corresponding pair is independent, so
 the graph can express context-specific structure on top of the usual
 component-wise Markov reading.
 
+Each call that needs the component structure (the component digraph, its
+topological order, parents and non-descendants) builds it once, as a
+``_Chain``, and asks it every question.  The rule that orients a stratum
+pair and gives its conditioning scope lives in ``stratum_scope`` alone:
+validation, the stratified Markov reading and the model search all use it.
+
 All queries return vertices in declaration order and statements in a
 stable order, so text renderings are reproducible byte for byte.
 """
@@ -44,20 +50,10 @@ class StratifiedChainGraph:
     arcs: tuple  # directed (tail, head)
     strata: tuple
 
-    def component_of(self, vertex):
-        for name, members in self.components:
-            if vertex in members:
-                return name
-        raise GraphFormatError(f"vertex {vertex!r} is in no component")
-
 
 def _order(graph, names):
     pos = {v: k for k, v in enumerate(graph.vertices)}
     return tuple(sorted(set(names), key=pos.__getitem__))
-
-
-def _edge_set(graph):
-    return {frozenset(e) for e in graph.edges}
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +71,15 @@ def validate(graph: StratifiedChainGraph, variables=None):
         if v in seen:
             problems.append(f"vertex {v!r} declared twice")
         seen.add(v)
+    chain = _Chain(graph)
+    names = set()
     membership = {}
-    out = {}  # component digraph, keys in declared order
     for name, members in graph.components:
-        if name in out:
+        if name in names:
             problems.append(f"component {name} declared twice")
-        out[name] = set()
+        names.add(name)
+        if not members:
+            problems.append(f"component {name} lists no vertices")
         for v in members:
             if v not in seen:
                 problems.append(f"component {name} lists unknown vertex {v!r}")
@@ -122,8 +121,6 @@ def validate(graph: StratifiedChainGraph, variables=None):
             problems.append(
                 f"arc {u} -> {v} stays inside component {membership[u]}"
             )
-        else:
-            out[membership[u]].add(membership[v])
         if (u, v) in arc_seen:
             problems.append(f"arc {u} -> {v} declared twice")
         if (v, u) in arc_seen:
@@ -131,9 +128,8 @@ def validate(graph: StratifiedChainGraph, variables=None):
         arc_seen.add((u, v))
 
     # no directed or semi-directed cycle: the component digraph must be acyclic
-    order = _topological_order(out)
-    if len(order) != len(out):
-        cyclic = sorted(set(out) - set(order))
+    if len(chain.order) != len(chain.out):
+        cyclic = sorted(set(chain.out) - set(chain.order))
         problems.append(
             "semi-directed cycle through components " + ", ".join(cyclic)
         )
@@ -141,18 +137,21 @@ def validate(graph: StratifiedChainGraph, variables=None):
 
     spec_by = {s.name: s for s in variables} if variables else {}
     for s in graph.strata:
-        problems.extend(_validate_stratum(graph, membership, out, s, spec_by))
+        problems.extend(_validate_stratum(chain, s, spec_by))
     return problems
 
 
-def _validate_stratum(graph, membership, out, s, spec_by):
-    """Problems of one stratum; ``out`` is the component digraph ``validate``
-    built, which leaves out arcs on undeclared vertices."""
+def _validate_stratum(chain, s, spec_by):
+    """Problems of one stratum of ``chain``'s graph.
+
+    The pair's orientation, its two orientation problems and the scope
+    its conditioning variables must fall in come from ``stratum_scope``.
+    """
     problems = []
     g, d = s.pair
     label = f"stratum ({g},{d})"
     for v in (g, d) + tuple(s.given):
-        if v not in membership:
+        if v not in chain.component:
             problems.append(f"{label}: unknown vertex {v!r}")
             return problems
     if g == d:
@@ -172,41 +171,23 @@ def _validate_stratum(graph, membership, out, s, spec_by):
             if lvl < 1 or (name in spec_by and lvl > spec_by[name].cardinality):
                 problems.append(f"{label}: level {lvl} out of range for {name!r}")
 
-    edge_present = frozenset((g, d)) in _edge_set(graph)
-    arc_present = (g, d) in graph.arcs or (d, g) in graph.arcs
+    edge_present = frozenset((g, d)) in chain.edges
+    arc_present = g in chain.tails.get(d, ()) or d in chain.tails.get(g, ())
     if edge_present or arc_present:
         problems.append(
             f"{label}: attaches to a present {'edge' if edge_present else 'arc'};"
             " strata describe partially missing links"
         )
 
-    same = membership[g] == membership[d]
-    if same:
-        allowed = set(_parents(graph, out, membership[g]))
+    _, _, allowed, problem = chain.stratum_scope(s.pair)
+    if problem is not None:
+        problems.append(f"{label}: {problem}")
+    if allowed is None:
+        allowed, scope = chain.graph.vertices, "any vertices"
+    elif chain.component[g] == chain.component[d]:
         scope = "the component's covariate set"
     else:
-        # orient so gamma sits downstream of delta's component
-        if membership[g] in _reachable(out, membership[d]):
-            down = g
-        elif membership[d] in _reachable(out, membership[g]):
-            down = d
-        else:
-            problems.append(
-                f"{label}: pair spans components with no parent relation"
-            )
-            down = None
-        if down is not None:
-            other = d if down == g else g
-            pa = set(_parents(graph, out, membership[down]))
-            if other not in pa:
-                problems.append(
-                    f"{label}: {other} is not a covariate of {down}'s component"
-                )
-            allowed = pa - {other}
-            scope = "the covariate set minus the pair"
-        else:
-            allowed = set(graph.vertices)
-            scope = "any vertices"
+        scope = "the covariate set minus the pair"
     extra = [v for v in s.given if v not in allowed]
     if extra:
         problems.append(
@@ -221,14 +202,10 @@ def _validate_stratum(graph, membership, out, s, spec_by):
         for name, lvl in zip(s.given, p):
             if lvl is not None:
                 concrete.add(name)
-    edges = _edge_set(graph)
-    parents = {}
-    for u, v in graph.arcs:
-        parents.setdefault(v, set()).add(u)
-    for name in _order(graph, concrete):
+    for name in _order(chain.graph, concrete):
         for endpoint in (g, d):
-            linked = frozenset((name, endpoint)) in edges or name in parents.get(
-                endpoint, set()
+            linked = frozenset((name, endpoint)) in chain.edges or name in chain.tails.get(
+                endpoint, ()
             )
             if not linked:
                 problems.append(
@@ -249,16 +226,77 @@ def require_valid(graph, variables=None):
 # ---------------------------------------------------------------------------
 # component structure
 
-def _component_digraph(graph):
-    membership = {}
-    for name, members in graph.components:
-        for v in members:
-            membership[v] = name
-    out = {name: set() for name, _ in graph.components}
-    for u, v in graph.arcs:
-        if membership[u] != membership[v]:
-            out[membership[u]].add(membership[v])
-    return membership, out
+class _Chain:
+    """The component structure of one graph, built once per call.
+
+    ``component`` maps each listed vertex to its component (the last one,
+    when two list it).  ``out`` is the component digraph, keys in declared
+    order; an arc inside a component, or on a vertex that no component
+    lists, adds no edge.  ``order`` is its topological order, which leaves
+    out the components on or downstream of a cycle.  ``edges`` holds the
+    edges as frozensets and ``tails`` each vertex's arc tails.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.members = dict(graph.components)
+        self.component = {v: name for name, members in graph.components for v in members}
+        self.out = {name: set() for name in self.members}
+        self.tails = {}
+        for u, v in graph.arcs:
+            self.tails.setdefault(v, set()).add(u)
+            cu, cv = self.component.get(u), self.component.get(v)
+            if cu is not None and cv is not None and cu != cv:
+                self.out[cu].add(cv)
+        self.order = _topological_order(self.out)
+        self.edges = {frozenset(e) for e in graph.edges}
+
+    def components(self):
+        """Component vertex sets in topological order; refuses a cycle."""
+        if len(self.order) != len(self.out):
+            raise GraphFormatError("component digraph is cyclic")
+        return tuple((n, self.members[n]) for n in self.order)
+
+    def reachable(self, name):
+        """Components reachable from ``name`` by directed paths."""
+        seen = set()
+        stack = [name]
+        while stack:
+            for m in self.out[stack.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        return seen
+
+    def parents(self, name):
+        """Vertices of every component sending at least one arc into ``name``."""
+        return _order(
+            self.graph,
+            [v for n in self.out if name in self.out[n] for v in self.members[n]],
+        )
+
+    def non_descendants(self, name):
+        """Vertices of components unreachable from ``name`` by directed paths."""
+        reach = self.reachable(name) | {name}
+        return _order(
+            self.graph,
+            [v for n, members in self.graph.components if n not in reach for v in members],
+        )
+
+    def stratum_scope(self, pair):
+        """See the module-level ``stratum_scope``."""
+        g, d = pair
+        cg, cd = self.component[g], self.component[d]
+        if cg == cd:
+            return g, d, self.parents(cg), None
+        # orient so gamma sits downstream of delta's component
+        if cg not in self.reachable(cd):
+            if cd not in self.reachable(cg):
+                return g, d, None, "pair spans components with no parent relation"
+            g, d, cg = d, g, cd
+        pa = self.parents(cg)
+        problem = None if d in pa else f"{d} is not a covariate of {g}'s component"
+        return g, d, tuple(v for v in pa if v != d), problem
 
 
 def _topological_order(out):
@@ -285,49 +323,35 @@ def _topological_order(out):
     return order
 
 
+def stratum_scope(graph, pair):
+    """Orientation and conditioning scope of a stratum pair, as
+    ``(gamma, delta, scope, problem)``.
+
+    A pair inside one component is a missing edge: it keeps its order and
+    conditions on the component's parents.  A pair across components is a
+    missing arc: gamma is the member whose component is downstream of the
+    other's, and the scope is gamma's component parents minus delta.
+    ``problem`` names what makes the pair unusable, or is None: a pair
+    with neither component downstream of the other has a None scope, and
+    a delta outside the parents of gamma's component is not a covariate.
+    Both pair members must belong to a component of an acyclic graph.
+    """
+    return _Chain(graph).stratum_scope(pair)
+
+
 def chain_components(graph):
     """Component vertex sets in a topological order of the component digraph."""
-    _, out = _component_digraph(graph)
-    order = _topological_order(out)
-    if len(order) != len(out):
-        raise GraphFormatError("component digraph is cyclic")
-    return tuple((n, dict(graph.components)[n]) for n in order)
-
-
-def _reachable(out, name):
-    """Components reachable from ``name`` in the component digraph ``out``."""
-    seen = set()
-    stack = [name]
-    while stack:
-        n = stack.pop()
-        for m in out[n]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen
+    return _Chain(graph).components()
 
 
 def parents_of_component(graph, name):
     """Vertices of every component sending at least one arc into ``name``."""
-    return _parents(graph, _component_digraph(graph)[1], name)
-
-
-def _parents(graph, out, name):
-    senders = [n for n in out if name in out[n]]
-    verts = []
-    for n in senders:
-        verts.extend(dict(graph.components)[n])
-    return _order(graph, verts)
+    return _Chain(graph).parents(name)
 
 
 def non_descendants(graph, name):
     """Vertices of components unreachable from ``name`` by directed paths."""
-    reach = _reachable(_component_digraph(graph)[1], name) | {name}
-    verts = []
-    for n, members in graph.components:
-        if n not in reach:
-            verts.extend(members)
-    return _order(graph, verts)
+    return _Chain(graph).non_descendants(name)
 
 
 def graph_parents(graph, vertices):
@@ -361,15 +385,16 @@ def _canonical_pair_key(graph, lhs, rhs):
     return (b, a) if (len(a), a) > (len(b), b) else (a, b)
 
 
-def _component_statements(graph, name, members, missing_partner):
+def _component_statements(chain, name, members, missing_partner):
     """Eq.-11 style statements for one component (plain pairs only), as
     three lists: component level, missing edges, missing arcs.
 
     ``missing_partner(g, v)`` filters the candidate partners of ``g`` so the
     stratified extraction can carve stratum pairs out of the plain rules.
     """
-    pa = parents_of_component(graph, name)
-    nd = non_descendants(graph, name)
+    graph = chain.graph
+    pa = chain.parents(name)
+    nd = chain.non_descendants(name)
     # whole component against its non-descendants
     c1 = []
     rhs = tuple(v for v in nd if v not in pa)
@@ -472,7 +497,7 @@ def stratified_markov(graph, variables=None):
     hence the optional ``variables``).
     """
     require_valid(graph, variables)
-    membership = {v: name for name, members in graph.components for v in members}
+    chain = _Chain(graph)
     live = [s for s in graph.strata if not _stratum_is_degenerate(s, variables)]
     partner = {}
     for s in live:
@@ -483,30 +508,18 @@ def stratified_markov(graph, variables=None):
     def plain(g, v):
         return v not in partner.get(g, set())
 
+    scoped = [(chain.stratum_scope(s.pair), s) for s in live]
     stmts = []
-    for name, members in chain_components(graph):
-        c1, c2, c3 = _component_statements(graph, name, members, plain)
-        pa = parents_of_component(graph, name)
-        cs2 = []
-        cs3 = []
-        for s in live:
-            p0, p1 = s.pair
-            if membership[p0] == membership[p1] == name:
-                # missing edge: condition on the component's covariates
-                for row in _extend_pattern(s, pa):
-                    cs2.append(Statement((p0,), (p1,), pa, PatternContext(row)))
+    for name, members in chain.components():
+        c1, c2, c3 = _component_statements(chain, name, members, plain)
+        cs2 = []  # missing edges
+        cs3 = []  # missing arcs
+        for (g, d, given, _), s in scoped:
+            if chain.component[g] != name:
                 continue
-            # missing arc: orient so gamma sits in this component and delta
-            # among its covariates, condition on the covariates minus delta
-            if membership[p0] == name and p1 in pa:
-                g, d = p0, p1
-            elif membership[p1] == name and p0 in pa:
-                g, d = p1, p0
-            else:
-                continue
-            given = tuple(v for v in pa if v != d)
+            cs = cs2 if chain.component[d] == name else cs3
             for row in _extend_pattern(s, given):
-                cs3.append(Statement((g,), (d,), given, PatternContext(row)))
+                cs.append(Statement((g,), (d,), given, PatternContext(row)))
         stmts.extend(c1 + c2 + cs2 + c3 + cs3)
     return _dedup_statements(stmts)
 
@@ -520,17 +533,18 @@ def marginal_sets(graph):
     size then position, so no marginal precedes one of its subsets.
     """
     require_valid(graph)
+    chain = _Chain(graph)
     pos = {v: k for k, v in enumerate(graph.vertices)}
     out = set()
-    for name, members in chain_components(graph):
-        pa = parents_of_component(graph, name)
+    for name, members in chain.components():
+        pa = chain.parents(name)
         if pa:
             for r in range(1, len(members) + 1):
                 for sub in itertools.combinations(members, r):
                     out.add(frozenset(pa) | frozenset(sub))
         else:
             out.add(frozenset(members))
-        out.add(frozenset(non_descendants(graph, name)) | frozenset(members))
+        out.add(frozenset(chain.non_descendants(name)) | frozenset(members))
     ordered = sorted(
         (tuple(sorted(m, key=pos.__getitem__)) for m in out),
         key=lambda m: (len(m), tuple(pos[v] for v in m)),

@@ -283,7 +283,10 @@ def _parse_count(token: str, line_no: int) -> float:
 
 
 def _table_from_entries(variables, entries) -> ContingencyTable:
-    variables = tuple(variables)
+    try:
+        variables = _check_variables(variables)
+    except ValueError as exc:
+        raise TableFormatError(str(exc)) from exc
     counts = np.zeros(cell_count(variables))
     seen = set()
     for cell, value, line_no in entries:
@@ -362,6 +365,14 @@ def dump_table_csv(table: ContingencyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a fraction, a bool or a non-number is refused, not truncated."""
+    # exact type: JSON true and false load as bool, a subclass of int
+    if type(value) is not int:
+        raise TableFormatError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def load_table_json(text: str) -> ContingencyTable:
     try:
         payload = json.loads(text)
@@ -375,7 +386,7 @@ def load_table_json(text: str) -> ContingencyTable:
             variables.append(
                 VariableSpec(
                     str(spec["name"]),
-                    int(spec["cardinality"]),
+                    _json_int(spec["cardinality"], "cardinality"),
                     str(spec.get("coding", "baseline")),
                     tuple(spec["level_labels"]) if spec.get("level_labels") else None,
                 )
@@ -385,7 +396,7 @@ def load_table_json(text: str) -> ContingencyTable:
     entries = []
     for row_no, row in enumerate(payload.get("cells", []), start=1):
         try:
-            cell = tuple(int(l) for l in row["cell"])
+            cell = tuple(_json_int(l, f"cell row {row_no}: level") for l in row["cell"])
             value = float(row["count"])
         except (KeyError, ValueError, TypeError) as exc:
             raise TableFormatError(f"bad cell row {row!r}") from exc

@@ -5,18 +5,20 @@ Run from the root of a checkout:
     python3 tests/golden_diff.py            # compare only
     python3 tests/golden_diff.py --write    # compare, then overwrite the files
 
-For each of the ten golden files pinned bit for bit by the tests (two
-fits, two searches, one regression report and five constraint systems)
-it prints whether the recomputed bytes match, whether every field that is
-not a float is equal (keys, list lengths, ints, strings, bools, nulls),
-and, for each float field, the largest absolute and relative difference
-over its occurrences.  A field is named by its JSON path with list
+For each of the twelve golden files pinned byte for byte by the tests
+(two fits, two searches, one regression report, five constraint systems
+and two Markov statement texts) it prints whether the recomputed bytes
+match.  For a text file it also prints the first line that differs.  For
+a JSON file it prints whether every field that is not a float is equal
+(keys, list lengths, ints, strings, bools, nulls), and, for each float
+field, the largest absolute and relative difference over its
+occurrences.  A field is named by its JSON path with list
 positions dropped, so ``pi_hat[]`` covers every cell.  A differing
 non-float field is listed once per path, with its first difference and a
 count of the rest, so that the report's CSV cells (strings) do not flood
 the listing.  The outputs come from the helpers that the golden tests in
-test_fitting.py, test_cli.py, test_regression.py and test_constraints.py
-compare with the files.  The exit status is 0 when every file matches
+test_fitting.py, test_cli.py, test_regression.py, test_constraints.py and
+test_graphs.py compare with the files.  The exit status is 0 when every file matches
 byte for byte or was written, 1 otherwise.
 """
 
@@ -36,6 +38,7 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 from test_cli import chain_search_text, write_chain_inputs  # noqa: E402
 from test_constraints import GOLDEN_STATEMENTS, golden_constraints_text  # noqa: E402
 from test_fitting import GOLDEN, golden_fit_text, golden_skel4_text  # noqa: E402
+from test_graphs import GOLDEN_MARKOV, golden_markov_text  # noqa: E402
 from test_regression import golden_report_text  # noqa: E402
 
 GOLDENS = {
@@ -47,6 +50,8 @@ GOLDENS = {
 }
 for _name in ["fig_b"] + sorted(GOLDEN_STATEMENTS):
     GOLDENS[f"constraints_{_name}.json"] = lambda tmp, name=_name: golden_constraints_text(name)
+for _name in GOLDEN_MARKOV:
+    GOLDENS[f"{_name}_markov.txt"] = lambda tmp, name=_name: golden_markov_text(name)
 
 
 def compare(old, new, path="", floats=None, mismatches=None):
@@ -75,8 +80,28 @@ def compare(old, new, path="", floats=None, mismatches=None):
     return floats, mismatches
 
 
+def first_line_difference(old_text, new_text):
+    """The 1-based number of the first line that differs, with both lines;
+    a file that ends early reads as None there."""
+    old, new = old_text.splitlines(), new_text.splitlines()
+    for k in range(max(len(old), len(new))):
+        a = old[k] if k < len(old) else None
+        b = new[k] if k < len(new) else None
+        if a != b:
+            return k + 1, a, b
+    return None
+
+
 def report(name, old_text, new_text) -> bool:
     same = old_text == new_text
+    if not name.endswith(".json"):
+        print(f"{name}: bytes {'match' if same else 'differ'}")
+        first = first_line_difference(old_text, new_text)
+        if first is not None:
+            print(f"  line {first[0]}: {first[1]!r} != {first[2]!r}")
+        elif not same:
+            print("  lines equal; line endings or the final newline differ")
+        return same
     floats, mismatches = compare(json.loads(old_text), json.loads(new_text))
     print(f"{name}: bytes {'match' if same else 'differ'}; "
           f"non-float fields {'equal' if not mismatches else 'DIFFER'}")

@@ -156,6 +156,48 @@ def test_validate_misshapen_json_graph_is_a_parse_error(tmp_path, capsys, text, 
     assert message in err
 
 
+def test_validate_reports_an_empty_json_component(workdir, tmp_path, capsys):
+    # the text parser refuses an empty component; a JSON graph used to pass
+    # validate and then fail the fit with an unrelated statement error
+    path = tmp_path / "empty.json"
+    path.write_text(
+        _graph_json(components=[{"name": "T1", "vertices": ["1", "2", "3"]},
+                                {"name": "B", "vertices": []}],
+                    edges=[["1", "2"], ["2", "3"]], arcs=[]),
+        encoding="utf-8",
+    )
+    assert main(["validate", "--graph", str(path)]) == 1
+    assert "component B lists no vertices" in capsys.readouterr().out
+    code = main(["fit", "--table", str(workdir / "chain.csv"),
+                 "--graph", str(path), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "not admissible" in out
+    assert "component B lists no vertices" in out
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("dup.csv", "variable,cardinality,coding\n1,2,baseline\n1,2,baseline\n"),
+        ("dup.json", json.dumps({
+            "schema": "scgm-table/1",
+            "variables": [{"name": "1", "cardinality": 2},
+                          {"name": "1", "cardinality": 2}],
+            "cells": [],
+        })),
+    ],
+    ids=["csv", "json"],
+)
+def test_a_table_declaring_a_variable_twice_is_a_format_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    graph = tmp_path / "one.graph"
+    graph.write_text("component T1 = {1}\n", encoding="utf-8")
+    assert main(["validate", "--graph", str(graph), "--table", str(path)]) == 2
+    assert capsys.readouterr().err == "error: duplicate variable name '1'\n"
+
+
 # ---------------------------------------------------------------------------
 # markov
 

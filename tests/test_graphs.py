@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,15 +26,24 @@ from scgm.graphs import (
     render_graph,
     statements_text,
     stratified_markov,
+    stratum_scope,
     validate,
 )
 from scgm.tables import VariableSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# each Markov golden names the reading that renders it
+GOLDEN_MARKOV = {"fig_a": markov_type_iv, "fig_b": stratified_markov}
+
 
 def load(name):
     return parse_graph((GOLDEN / name).read_text())
+
+
+def golden_markov_text(name):
+    """The statement text that ``golden/{name}_markov.txt`` pins."""
+    return statements_text(GOLDEN_MARKOV[name](load(f"{name}.graph")))
 
 
 def stmt_keys(stmts):
@@ -81,8 +91,7 @@ def test_fig_a_markov_exact():
 
 
 def test_fig_a_markov_rendered():
-    text = statements_text(markov_type_iv(load("fig_a.graph")))
-    assert text == (GOLDEN / "fig_a_markov.txt").read_text()
+    assert golden_markov_text("fig_a") == (GOLDEN / "fig_a_markov.txt").read_text()
 
 
 def test_fig_a_marginals():
@@ -126,8 +135,7 @@ def test_fig_b_stratified_exact():
 
 
 def test_fig_b_rendered():
-    text = statements_text(stratified_markov(load("fig_b.graph")))
-    assert text == (GOLDEN / "fig_b_markov.txt").read_text()
+    assert golden_markov_text("fig_b") == (GOLDEN / "fig_b_markov.txt").read_text()
 
 
 def test_fig_b_statement_kinds():
@@ -307,6 +315,68 @@ def test_markov_type_iv_rejects_strata():
 def test_vertex_in_two_components():
     g = parse_graph("component T1 = {1,2}\ncomponent T2 = {2}\n")
     assert any("belongs to components" in p for p in validate(g))
+
+
+def test_empty_component_is_a_problem():
+    # the text parser refuses one; a graph built in code or read from JSON
+    # reaches validate
+    g = StratifiedChainGraph(("1",), (("A", ("1",)), ("B", ())), (), (), ())
+    assert validate(g) == ["component B lists no vertices"]
+    with pytest.raises(GraphFormatError, match="component B lists no vertices"):
+        stratified_markov(g)
+
+
+# ---------------------------------------------------------------------------
+# stratum scope: orientation and conditioning set of a stratum pair
+
+def without(graph, *links):
+    """``graph`` less the listed edges and arcs, each given as (u, v)."""
+    return replace(
+        graph,
+        edges=tuple(e for e in graph.edges if e not in links),
+        arcs=tuple(a for a in graph.arcs if a not in links),
+    )
+
+
+def test_stratum_scope_of_a_missing_edge_is_the_component_parents():
+    g = without(load("skeleton21.graph"), ("2", "3"))
+    assert stratum_scope(g, ("2", "3")) == ("2", "3", ("5", "6", "7"), None)
+    assert stratum_scope(g, ("3", "2")) == ("3", "2", ("5", "6", "7"), None)
+    assert stratum_scope(load("fig4.graph"), ("5", "6")) == ("5", "6", (), None)
+
+
+def test_stratum_scope_of_a_missing_arc_drops_the_tail():
+    g = load("fig4.graph")
+    want = ("1", "2", ("5", "6", "7", "3", "4"), None)
+    # gamma is the downstream member, whichever way the pair is written;
+    # the scope keeps the graph's declaration order
+    assert stratum_scope(g, ("1", "2")) == want
+    assert stratum_scope(g, ("2", "1")) == want
+    g = without(load("skeleton21.graph"), ("6", "1"))
+    assert stratum_scope(g, ("6", "1")) == ("1", "6", ("5", "7", "2", "3", "4"), None)
+
+
+def test_stratum_scope_without_the_sole_arc_from_a_component():
+    # T1 still reaches T3 through T2, but no longer sends it an arc
+    g = without(load("skeleton21.graph"), ("5", "1"), ("6", "1"), ("7", "1"))
+    assert stratum_scope(g, ("1", "5")) == (
+        "1", "5", ("2", "3", "4"), "5 is not a covariate of 1's component"
+    )
+    problems = validate(replace(g, strata=(Stratum(("1", "5"), ("2",), ((None,),)),)))
+    assert problems == ["stratum (1,5): 5 is not a covariate of 1's component"]
+
+
+def test_stratum_scope_of_unrelated_components():
+    g = without(load("fig4.graph"), ("3", "1"), ("5", "1"), ("7", "1"))
+    assert stratum_scope(g, ("1", "2")) == (
+        "1", "2", None, "pair spans components with no parent relation"
+    )
+    g = without(
+        load("skeleton21.graph"), *[(t, "1") for t in ("2", "3", "4", "5", "6", "7")]
+    )
+    assert stratum_scope(g, ("6", "1"))[2:] == (
+        None, "pair spans components with no parent relation"
+    )
 
 
 # ---------------------------------------------------------------------------

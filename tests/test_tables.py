@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,26 @@ def test_csv_writer_refuses_level_labels_json_keeps_them():
 def test_json_schema_required():
     with pytest.raises(TableFormatError):
         load_table('{"variables": [], "cells": []}', "json")
+
+
+@pytest.mark.parametrize(
+    "variables, cell, message",
+    [
+        ([2.7, 2], [1, 1], "cardinality 2.7 is not an integer"),
+        ([True, 2], [1, 1], "cardinality True is not an integer"),
+        ([2, 2], [1.5, True], "cell row 1: level 1.5 is not an integer"),
+        ([2, 2], [1, True], "cell row 1: level True is not an integer"),
+    ],
+)
+def test_json_reader_refuses_non_integers(variables, cell, message):
+    # these used to load truncated: a cardinality of 2.7 as 2, [1.5, true] as (1, 1)
+    payload = {
+        "schema": "scgm-table/1",
+        "variables": [{"name": f"X{k}", "cardinality": c} for k, c in enumerate(variables)],
+        "cells": [{"cell": cell, "count": 3}],
+    }
+    with pytest.raises(TableFormatError, match=re.escape(message)):
+        load_table(json.dumps(payload), "json")
 
 
 def test_to_probabilities_uniform():
