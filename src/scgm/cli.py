@@ -33,7 +33,6 @@ from .constraints import (
     render_statement,
     statement_to_json,
     system_to_json,
-    validate_statement,
 )
 from .errors import GraphFormatError, OptionError, ScgmError, TableFormatError
 from .fitting import (
@@ -155,17 +154,6 @@ def _reject(problems) -> int:
     return 1
 
 
-def _names_match(graph, variables) -> bool:
-    names = {s.name for s in variables}
-    if set(graph.vertices) == names:
-        return True
-    print(
-        f"graph vertices {sorted(graph.vertices)} do not match the table "
-        f"variables {sorted(names)}"
-    )
-    return False
-
-
 def _fmt(value, spec: str) -> str:
     if value is None:
         return "-"
@@ -244,14 +232,10 @@ def cmd_markov(args) -> int:
     config = RunConfig.from_args(args)
     graph = _read_graph(args.graph)
     variables = _read_table(args.table).variables if args.table else None
-    if variables is not None and not _names_match(graph, variables):
-        return 1
     problems = validate(graph, variables)
     if problems:
         return _reject(problems)
-    stmts = list(stratified_markov(graph, variables))
-    if variables is not None:
-        stmts = [validate_statement(s, variables) for s in stmts]
+    stmts = stratified_markov(graph, variables)
     lines = [render_statement(s) for s in stmts]
 
     payload = {
@@ -282,8 +266,6 @@ def cmd_constraints(args) -> int:
     variables = table.variables
     if args.graph:
         graph = _read_graph(args.graph)
-        if not _names_match(graph, variables):
-            return 1
         problems = validate(graph, variables)
         if problems:
             return _reject(problems)
@@ -311,8 +293,6 @@ def cmd_fit(args) -> int:
     options = _fit_options(args)
     table = _read_table(args.table)
     graph = _read_graph(args.graph)
-    if not _names_match(graph, table.variables):
-        return 1
     problems = validate(graph, table.variables)
     if problems:
         return _reject(problems)
@@ -426,8 +406,9 @@ def cmd_search(args) -> int:
         raise OptionError(f"alpha must lie strictly between 0 and 1, got {args.alpha}")
     table = _read_table(args.table)
     skeleton = _read_graph(args.graph)
-    if not _names_match(skeleton, table.variables):
-        return 1
+    problems = validate(skeleton, table.variables)
+    if problems:
+        return _reject(problems)
     trace = model_search(
         table, skeleton, options, criterion=args.criterion, alpha=args.alpha
     )
@@ -480,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a graph spec for problems")
     p.add_argument("--graph", required=True, help="graph spec file (text or JSON)")
-    p.add_argument("--table", help="table file; enables stratum level range checks")
+    p.add_argument("--table",
+                   help="table file; checks the vertices and stratum levels against it")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("markov", help="list the independence statements of a graph")

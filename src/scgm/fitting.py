@@ -115,7 +115,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .constraints import ConstraintSystem, render_statement, validate_statement
+from .constraints import ConstraintSystem, render_statement
 from .errors import (
     InfeasibleSystemError,
     OptionError,
@@ -674,10 +674,9 @@ class Candidate:
 
     @cached_property
     def statements(self) -> tuple:
-        """The graph's independencies, validated and rendered in table order."""
+        """The graph's independencies, rendered in table order."""
         return tuple(
-            render_statement(validate_statement(s, self.variables))
-            for s in stratified_markov(self.graph, self.variables)
+            render_statement(s) for s in stratified_markov(self.graph, self.variables)
         )
 
     def passes(self, alpha) -> bool:
@@ -776,8 +775,8 @@ def _stratum_candidates(graph, link, variables):
     form there (the sole arc between two components), or with an empty
     scope, has no candidates.
     Single-row patterns with up to three pinned context variables, plus
-    one-variable threshold regions in both directions; strata whose rows
-    cover every context cell are skipped (they equal the plain absence).
+    one-variable threshold regions in both directions; none covers every
+    context cell (that would equal the plain absence).
     """
     kind, u, v = link
     spec_by = {s.name: s for s in variables}
@@ -787,29 +786,22 @@ def _stratum_candidates(graph, link, variables):
     if problem is not None or not scope:
         return []
 
-    seen = set()
+    # no two strata coincide: single rows differ in their given set or row;
+    # a threshold region holds two or more rows, and the region at or above
+    # k holds the top level but never level 1, unlike the one at or below k
     out = []
-
-    def emit(given, rows):
-        key = (tuple(given), frozenset(rows))
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(Stratum(pair, tuple(given), tuple(rows)))
-
     for r in range(1, min(3, len(scope)) + 1):
         for given in itertools.combinations(scope, r):
             ranges = [range(1, spec_by[g].cardinality + 1) for g in given]
             for row in itertools.product(*ranges):
-                emit(given, [row])
+                out.append(Stratum(pair, given, (row,)))
 
     for g in scope:
         card = spec_by[g].cardinality
-        if card < 3:
-            continue
         for k in range(2, card):
-            emit((g,), [(j,) for j in range(k, card + 1)])  # at or above k
-            emit((g,), [(j,) for j in range(1, k + 1)])  # at or below k
+            # at or above k, then at or below k
+            for levels in (range(k, card + 1), range(1, k + 1)):
+                out.append(Stratum(pair, (g,), tuple((j,) for j in levels)))
 
     keep = []
     for st in out:

@@ -13,6 +13,12 @@ topological order, parents and non-descendants) builds it once, as a
 pair and gives its conditioning scope lives in ``stratum_scope`` alone:
 validation, the stratified Markov reading and the model search all use it.
 
+A graph is read against a table's variables in one place, ``validate``:
+it alone compares the graph's vertices with the variable names, and the
+library, the command line and the model search all ask it.  Given the
+variables, ``stratified_markov`` returns its statements in their
+canonical form (table order, range-checked).
+
 All queries return vertices in declaration order and statements in a
 stable order, so text renderings are reproducible byte for byte.
 """
@@ -24,7 +30,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .constraints import PatternContext, Statement, render_statement
+from .constraints import PatternContext, Statement, render_statement, validate_statement
 from .errors import GraphFormatError
 
 
@@ -62,9 +68,18 @@ def _order(graph, names):
 def validate(graph: StratifiedChainGraph, variables=None):
     """Collect every structural violation; an empty list means the graph is valid.
 
-    With ``variables`` (specs carrying cardinalities) stratum context levels
-    are range-checked as well.
+    This is the one check of a graph against a table.  With ``variables``
+    (the table's specs) a vertex set that differs from the variable names
+    is the single problem returned; otherwise stratum context levels are
+    range-checked against the cardinalities as well.
     """
+    if variables is not None:
+        table_names = {s.name for s in variables}
+        if set(graph.vertices) != table_names:
+            return [
+                f"graph vertices {sorted(graph.vertices)} do not match the table "
+                f"variables {sorted(table_names)}"
+            ]
     problems = []
     seen = set()
     for v in graph.vertices:
@@ -463,8 +478,6 @@ def _stratum_is_degenerate(s, variables):
     if not variables:
         return False
     spec_by = {v.name: v for v in variables}
-    if any(n not in spec_by for n in s.given):
-        return False
     cells = set()
     for p in s.patterns:
         axes = [
@@ -494,7 +507,9 @@ def stratified_markov(graph, variables=None):
 
     Strata whose context rows cover the whole context space degrade to the
     plain reading (cardinalities are needed to detect multi-row coverage,
-    hence the optional ``variables``).
+    hence the optional ``variables``).  Given ``variables``, the graph must
+    match them (see ``validate``) and each statement comes back canonical,
+    as ``validate_statement`` leaves it.
     """
     require_valid(graph, variables)
     chain = _Chain(graph)
@@ -521,7 +536,10 @@ def stratified_markov(graph, variables=None):
             for row in _extend_pattern(s, given):
                 cs.append(Statement((g,), (d,), given, PatternContext(row)))
         stmts.extend(c1 + c2 + cs2 + c3 + cs3)
-    return _dedup_statements(stmts)
+    stmts = _dedup_statements(stmts)
+    if variables is None:
+        return stmts
+    return tuple(validate_statement(s, variables) for s in stmts)
 
 
 def marginal_sets(graph):
@@ -672,12 +690,22 @@ def _json_vertices(value, what, size=None):
     return tuple(value)
 
 
+def _json_name(value):
+    """A JSON component name, which must be a string."""
+    if not isinstance(value, str):
+        raise GraphFormatError(f"a component name must be a string, got {value!r}")
+    return value
+
+
 def graph_from_json(obj: dict) -> StratifiedChainGraph:
     if obj.get("schema") != "scgm-graph/1":
         raise GraphFormatError(f"unsupported graph schema {obj.get('schema')!r}")
     try:
         components = tuple(
-            (c["name"], _json_vertices(c["vertices"], f"component {c['name']} vertices"))
+            (
+                _json_name(c["name"]),
+                _json_vertices(c["vertices"], f"component {c['name']} vertices"),
+            )
             for c in obj["components"]
         )
         edges = tuple(_json_vertices(e, "an edge", 2) for e in obj.get("edges", []))

@@ -151,17 +151,13 @@ def _coefficient_families(names, members, pa):
 
 def graph_allocation(graph: StratifiedChainGraph, variables) -> EffectAllocation:
     """Allocation over the graph's marginal sequence."""
-    _check_vertices(graph, variables)
+    _require_admissible(graph, variables)
     return allocate_effects(variables, marginal_sets(graph))
 
 
-def _check_vertices(graph, variables):
-    names = variable_names(variables)
-    if set(graph.vertices) != set(names):
-        raise GraphFormatError(
-            f"graph vertices {sorted(graph.vertices)} do not match the table "
-            f"variables {sorted(names)}"
-        )
+def _require_admissible(graph, variables):
+    """Raise GraphFormatError with every problem ``validate`` finds in the
+    graph read against ``variables``, a vertex mismatch among them."""
     problems = validate(graph, variables)
     if problems:
         raise GraphFormatError("; ".join(problems))
@@ -176,7 +172,7 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
     aggregates would mix margins and the map would not invert.
     """
     variables = vec.allocation.variables
-    _check_vertices(graph, variables)
+    _require_admissible(graph, variables)
     names = variable_names(variables)
     spec_by = {s.name: s for s in variables}
     card = {s.name: s.cardinality for s in variables}
@@ -343,7 +339,7 @@ def scgm_constraint_system(graph, variables) -> ConstraintSystem:
     independence statements, generated against the graph's own marginal
     sequence.
     """
-    _check_vertices(graph, variables)
+    _require_admissible(graph, variables)
     alloc = allocate_effects(variables, marginal_sets(graph))
     stmts = stratified_markov(graph, variables)
     systems = [generate_constraints(s, variables, alloc) for s in stmts]

@@ -373,6 +373,22 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_str(value, what: str) -> str:
+    """A JSON string; a number, a list or null is refused, not turned into text."""
+    if not isinstance(value, str):
+        raise TableFormatError(f"{what} {value!r} is not a string")
+    return value
+
+
+def _json_labels(value, name: str):
+    """Level labels as a tuple of strings; absent or empty labels are None."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise TableFormatError(f"variable {name!r}: level_labels {value!r} is not a list")
+    return tuple(_json_str(v, f"variable {name!r}: level label") for v in value) or None
+
+
 def load_table_json(text: str) -> ContingencyTable:
     try:
         payload = json.loads(text)
@@ -383,12 +399,13 @@ def load_table_json(text: str) -> ContingencyTable:
     variables = []
     for spec in payload.get("variables", []):
         try:
+            name = _json_str(spec["name"], "variable name")
             variables.append(
                 VariableSpec(
-                    str(spec["name"]),
+                    name,
                     _json_int(spec["cardinality"], "cardinality"),
                     str(spec.get("coding", "baseline")),
-                    tuple(spec["level_labels"]) if spec.get("level_labels") else None,
+                    _json_labels(spec.get("level_labels"), name),
                 )
             )
         except (KeyError, ValueError, TypeError) as exc:

@@ -15,7 +15,7 @@ import pytest
 
 from scgm import ContingencyTable, VariableSpec, dump_table
 from scgm.cli import main
-from scgm.constraints import render_statement, validate_statement
+from scgm.constraints import render_statement
 from scgm.graphs import parse_graph, stratified_markov
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,8 +144,10 @@ def _graph_json(**fields):
          "a stratum pair must be a list of 2 vertex names"),
         (_graph_json(components=[{"name": "T1", "vertices": "123"}]),
          "component T1 vertices must be a list of vertex names"),
+        (_graph_json(components=[{"name": ["T1"], "vertices": ["1"]}]),
+         "a component name must be a string, got ['T1']"),
     ],
-    ids=["edge", "arc", "stratum-pair", "vertices-string"],
+    ids=["edge", "arc", "stratum-pair", "vertices-string", "name-list"],
 )
 def test_validate_misshapen_json_graph_is_a_parse_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -382,16 +384,33 @@ def test_fit_rejects_a_bad_option(workdir, tmp_path, capsys, flags, message):
     assert not (tmp_path / "o").exists()
 
 
-def test_fit_variable_mismatch_is_a_domain_error(workdir, tmp_path, capsys):
-    vs = (VariableSpec("a", 2), VariableSpec("b", 2))
-    t = ContingencyTable(vs, [5.0, 7.0, 11.0, 13.0])
-    path = tmp_path / "ab.csv"
-    path.write_text(dump_table(t), encoding="utf-8")
-    code = main(
-        ["fit", "--table", str(path),
-         "--graph", str(workdir / "true.graph"), "--out", str(tmp_path / "o")]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--table", "{table}", "--graph", "{graph}"],
+        ["markov", "--table", "{table}", "--graph", "{graph}"],
+        ["constraints", "--table", "{table}", "--graph", "{graph}"],
+        ["fit", "--table", "{table}", "--graph", "{graph}", "--out", "{out}"],
+        ["search", "--table", "{table}", "--graph", "{graph}", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_table_that_does_not_match_the_graph_is_not_admissible(
+    workdir, tmp_path, capsys, argv
+):
+    # validate used to call such a graph admissible; the other subcommands
+    # printed the mismatch without the admissibility header
+    vs = (VariableSpec("x", 2), VariableSpec("y", 2), VariableSpec("z", 2))
+    table = tmp_path / "xyz.csv"
+    table.write_text(dump_table(ContingencyTable(vs, np.ones(8))), encoding="utf-8")
+    paths = {"table": table, "graph": workdir / "true.graph", "out": tmp_path / "o"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().out == (
+        "graph spec is not admissible:\n"
+        "  - graph vertices ['1', '2', '3'] do not match the table "
+        "variables ['x', 'y', 'z']\n"
     )
-    assert code == 1
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +468,7 @@ def test_search_json_matches_the_golden_trace(workdir, capsys):
 
 def test_search_text_renders_step2_statements_in_table_order(tmp_path, capsys):
     # 4 depends on 1 alone; the skeleton declares 3 before 1 and 2, so its
-    # statements list vertices out of table order until validated
+    # statements list vertices out of table order unless read with the table
     vs = tuple(VariableSpec(str(i), 2) for i in range(1, 5))
     p123 = np.array([0.25, 0.05, 0.08, 0.12, 0.06, 0.14, 0.04, 0.26])
     p4g1 = np.array([[0.7, 0.3], [0.2, 0.8]])
@@ -471,8 +490,7 @@ def test_search_text_renders_step2_statements_in_table_order(tmp_path, capsys):
     assert trace["step2"]["removable"] == [["arc", "3", "4"], ["arc", "2", "4"]]
     expected = [
         "; ".join(
-            render_statement(validate_statement(s, vs))
-            for s in stratified_markov(parse_graph(c["graph"]), vs)
+            render_statement(s) for s in stratified_markov(parse_graph(c["graph"]), vs)
         )
         for c in trace["step2"]["candidates"]
     ]

@@ -751,6 +751,22 @@ def test_search_input_validation():
     with pytest.raises(StatementError):
         model_search(table, PLANTED4)
 
+
+def test_search_refuses_a_mismatched_table_before_any_pool(monkeypatch):
+    # the skeleton used to pass validate, so every candidate was fitted
+    # in a pool before the final refit failed on the vertex mismatch
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    table = table_first_source_irrelevant()
+    other = tuple(VariableSpec(f"x{s.name}", s.cardinality) for s in table.variables)
+    with pytest.raises(StatementError, match="do not match the table variables"):
+        model_search(ContingencyTable(other, table.counts), CHAIN3)
+
+
 # ---------------------------------------------------------------------------
 # solver regressions on sparse and near-boundary tables
 

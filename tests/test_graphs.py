@@ -3,12 +3,13 @@
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from scgm.constraints import PatternContext, Statement, statement_kind
+from scgm.constraints import PatternContext, Statement, statement_kind, validate_statement
 from scgm.errors import GraphFormatError
 from scgm.graphs import (
     StratifiedChainGraph,
@@ -305,6 +306,32 @@ def test_stratum_level_out_of_range():
         (Stratum(("3", "4"), ("1", "2"), ((7, None),)),),
     )
     assert any("out of range" in p for p in validate(gb, variables))
+
+
+@pytest.mark.parametrize(
+    "name, cards",
+    [("fig4", (2, 2, 2, 2, 3, 3, 2)), ("fig_b", (2, 2, 2, 2, 2))],
+)
+def test_stratified_markov_with_variables_is_canonical(name, cards):
+    # the table lists the variables in an order the graph does not declare
+    # them in; the statements come back in table order, as validated
+    g = load(f"{name}.graph")
+    vs = tuple(VariableSpec(str(k), c) for k, c in reversed(list(enumerate(cards, 1))))
+    stmts = stratified_markov(g, vs)
+    assert stmts == tuple(validate_statement(s, vs) for s in stmts)
+    assert stmt_keys(stmts) == stmt_keys(stratified_markov(g))
+
+
+def test_validate_reports_a_vertex_mismatch_alone():
+    g = load("fig_b.graph")
+    vs = tuple(VariableSpec(f"x{k}", 2) for k in range(1, 6))
+    message = (
+        "graph vertices ['1', '2', '3', '4', '5'] do not match the table "
+        "variables ['x1', 'x2', 'x3', 'x4', 'x5']"
+    )
+    assert validate(g, vs) == [message]
+    with pytest.raises(GraphFormatError, match=re.escape(message)):
+        stratified_markov(g, vs)
 
 
 def test_markov_type_iv_rejects_strata():

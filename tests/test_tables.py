@@ -138,6 +138,26 @@ def test_json_reader_refuses_non_integers(variables, cell, message):
         load_table(json.dumps(payload), "json")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"name": ["x"]}, "variable name ['x'] is not a string"),
+        ({"name": 7}, "variable name 7 is not a string"),
+        ({"level_labels": "lh"}, "level_labels 'lh' is not a list"),
+        ({"level_labels": ["l", None]}, "level label None is not a string"),
+        ({"level_labels": ["l", 2]}, "level label 2 is not a string"),
+    ],
+    ids=["name-list", "name-int", "labels-string", "label-null", "label-int"],
+)
+def test_json_reader_refuses_non_strings(fields, message):
+    # these used to load: "lh" as the labels ('l', 'h'), [1, null] as given,
+    # and a list name as its text "['x']"
+    spec = {"name": "x", "cardinality": 2, **fields}
+    payload = {"schema": "scgm-table/1", "variables": [spec], "cells": []}
+    with pytest.raises(TableFormatError, match=re.escape(message)):
+        load_table(json.dumps(payload), "json")
+
+
 def test_to_probabilities_uniform():
     pv = to_probabilities(two_by_two([1, 1, 1, 1]))
     assert np.allclose(pv.probs, 0.25)
