@@ -9,11 +9,21 @@ fit               constrained maximum likelihood fit of a table under a graph
 search            three-step model search from a stratum-free skeleton
 oracle-selftest   run the brute-force oracle's internal consistency checks
 
-Exit codes: 0 success, 1 domain violation (inadmissible graph, bad
-statement, infeasible system), 2 input or parse problem, 3 the fit did
-not converge.  Every file written embeds the run configuration, the
-seed, the library version, and the AIC/BIC formula strings; re-running
-the same configuration reproduces every output byte for byte.
+Exit codes
+----------
+0  success
+1  a domain violation.  A graph the library finds inadmissible
+   (``InadmissibleGraphError``) prints "graph spec is not admissible:"
+   and its problems on stdout; any other ``ScgmError``, such as a bad
+   statement or an infeasible system, prints ``error: ...`` on stderr.
+2  an input or parse problem, printed as ``error: ...`` on stderr: an
+   unreadable file or invalid JSON, a ``TableFormatError``, any other
+   ``GraphFormatError``, or an ``OptionError`` (a flag out of its range).
+3  the fit did not converge.
+
+Every file written embeds the run configuration, the seed, the library
+version, and the AIC/BIC formula strings; re-running the same
+configuration reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -34,7 +44,13 @@ from .constraints import (
     statement_to_json,
     system_to_json,
 )
-from .errors import GraphFormatError, OptionError, ScgmError, TableFormatError
+from .errors import (
+    GraphFormatError,
+    InadmissibleGraphError,
+    OptionError,
+    ScgmError,
+    TableFormatError,
+)
 from .fitting import (
     AIC_FORMULA,
     BIC_FORMULA,
@@ -232,9 +248,6 @@ def cmd_markov(args) -> int:
     config = RunConfig.from_args(args)
     graph = _read_graph(args.graph)
     variables = _read_table(args.table).variables if args.table else None
-    problems = validate(graph, variables)
-    if problems:
-        return _reject(problems)
     stmts = stratified_markov(graph, variables)
     lines = [render_statement(s) for s in stmts]
 
@@ -262,14 +275,9 @@ def cmd_markov(args) -> int:
 
 def cmd_constraints(args) -> int:
     config = RunConfig.from_args(args)
-    table = _read_table(args.table)
-    variables = table.variables
+    variables = _read_table(args.table).variables
     if args.graph:
-        graph = _read_graph(args.graph)
-        problems = validate(graph, variables)
-        if problems:
-            return _reject(problems)
-        system = scgm_constraint_system(graph, variables)
+        system = scgm_constraint_system(_read_graph(args.graph), variables)
     else:
         system = generate_constraints(parse_statement(args.statement), variables)
     run = config.run_block()
@@ -293,9 +301,6 @@ def cmd_fit(args) -> int:
     options = _fit_options(args)
     table = _read_table(args.table)
     graph = _read_graph(args.graph)
-    problems = validate(graph, table.variables)
-    if problems:
-        return _reject(problems)
     system = scgm_constraint_system(graph, table.variables)
     result = fit_constrained(table, system, options)
     run = config.run_block()
@@ -402,16 +407,9 @@ def _search_text(trace, run: dict) -> str:
 def cmd_search(args) -> int:
     config = RunConfig.from_args(args)
     options = _fit_options(args)
-    if not 0.0 < args.alpha < 1.0:
-        raise OptionError(f"alpha must lie strictly between 0 and 1, got {args.alpha}")
     table = _read_table(args.table)
     skeleton = _read_graph(args.graph)
-    problems = validate(skeleton, table.variables)
-    if problems:
-        return _reject(problems)
-    trace = model_search(
-        table, skeleton, options, criterion=args.criterion, alpha=args.alpha
-    )
+    trace = model_search(table, skeleton, options, criterion=args.criterion, alpha=args.alpha)
     run = config.run_block()
 
     out = _out_dir(args)
@@ -525,10 +523,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TableFormatError, GraphFormatError, OptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except InadmissibleGraphError as exc:
+        return _reject(exc.problems)
+    except (TableFormatError, GraphFormatError, OptionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ScgmError as exc:

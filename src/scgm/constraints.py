@@ -281,24 +281,45 @@ def statement_to_json(stmt: Statement) -> dict:
     }
 
 
+def _is_level(value) -> bool:
+    # exact type: JSON true and false load as bool, a subclass of int
+    return type(value) is int
+
+
+def _json_items(value, what, item_ok=lambda v: isinstance(v, str)):
+    """A JSON list as a tuple, refused unless every item passes ``item_ok``."""
+    if not isinstance(value, list) or not all(map(item_ok, value)):
+        raise StatementError(f"malformed statement object: bad {what} {value!r}")
+    return tuple(value)
+
+
 def statement_from_json(obj: dict) -> Statement:
+    """The statement ``statement_to_json`` wrote; StatementError when a
+    field is missing or has the wrong JSON type, rather than a guess."""
+    if not isinstance(obj, dict):
+        raise StatementError(f"a statement must be a JSON object, got {obj!r}")
     try:
-        lhs = tuple(obj["lhs"])
-        rhs = tuple(obj["rhs"])
-        given = tuple(obj.get("given", ()))
+        lhs, rhs = _json_items(obj["lhs"], "lhs"), _json_items(obj["rhs"], "rhs")
+        given = _json_items(obj.get("given", []), "given")
         raw = obj.get("context")
-    except (KeyError, TypeError) as exc:
-        raise StatementError(f"malformed statement object: {exc}")
-    if raw is None:
-        return Statement(lhs, rhs, given, None)
-    kind = raw.get("kind")
-    if kind == "cells":
-        return Statement(lhs, rhs, given, CellListContext(tuple(tuple(c) for c in raw["cells"])))
-    if kind == "pattern":
-        return Statement(lhs, rhs, given, PatternContext(tuple(raw["pattern"])))
-    if kind in ("geq", "leq"):
-        return Statement(lhs, rhs, given, ThresholdContext(tuple(raw["bound"]), kind))
-    raise StatementError(f"unknown context kind {kind!r}")
+        if raw is None:
+            return Statement(lhs, rhs, given, None)
+        if not isinstance(raw, dict):
+            raise StatementError(f"a context must be a JSON object or null, got {raw!r}")
+        kind = raw.get("kind")
+        if kind == "cells":
+            cells = _json_items(raw["cells"], "cells", lambda c: isinstance(c, list))
+            ctx = CellListContext(tuple(_json_items(c, "cell", _is_level) for c in cells))
+        elif kind == "pattern":
+            pattern = _json_items(raw["pattern"], "pattern", lambda v: v is None or _is_level(v))
+            ctx = PatternContext(pattern)
+        elif kind in ("geq", "leq"):
+            ctx = ThresholdContext(_json_items(raw["bound"], "bound", _is_level), kind)
+        else:
+            raise StatementError(f"unknown context kind {kind!r}")
+    except KeyError as exc:
+        raise StatementError(f"malformed statement object: missing {exc}") from None
+    return Statement(lhs, rhs, given, ctx)
 
 
 # ---------------------------------------------------------------------------

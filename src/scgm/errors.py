@@ -43,6 +43,25 @@ class GraphFormatError(ScgmError):
     """A graph file or payload does not satisfy the format contract."""
 
 
+class InadmissibleGraphError(GraphFormatError):
+    """A graph that ``graphs.validate`` finds problems in, read alone or
+    against a table's variables.
+
+    Raised as ``InadmissibleGraphError(*problems)``: ``problems`` (the
+    exception's ``args``) is ``validate``'s list in its order, and the
+    message joins it with "; ".  The library's functions that need an
+    admissible graph raise this, so a caller reports a bad graph from one
+    ``except``.
+    """
+
+    @property
+    def problems(self) -> tuple:
+        return self.args
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
+
+
 class OptionError(ScgmError, ValueError):
     """A fit or search option is out of its range."""
 

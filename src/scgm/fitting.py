@@ -117,6 +117,7 @@ import numpy as np
 
 from .constraints import ConstraintSystem, render_statement
 from .errors import (
+    InadmissibleGraphError,
     InfeasibleSystemError,
     OptionError,
     ScgmError,
@@ -837,18 +838,23 @@ def model_search(
     come back in submission order, so the trace is the one a serial search
     writes.  The pool lives for this call only: every worker has exited
     before it returns or raises.
+
+    Before any pool exists, a bad ``criterion`` or ``alpha`` raises
+    OptionError, a skeleton that ``validate`` finds problems in, read
+    against the table's variables, InadmissibleGraphError, and a skeleton
+    with strata StatementError.
     """
     if criterion not in ("max-aic", "min-aic"):
-        raise StatementError(f"unknown selection criterion {criterion!r}")
+        raise OptionError(f"unknown selection criterion {criterion!r}")
     if not 0.0 < alpha < 1.0:
-        raise StatementError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    if skeleton.strata:
-        raise StatementError("model search starts from a stratum-free skeleton")
-    options = options or FitOptions()
+        raise OptionError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     variables = table.variables
     problems = validate(skeleton, variables)
     if problems:
-        raise StatementError("; ".join(problems))
+        raise InadmissibleGraphError(*problems)
+    if skeleton.strata:
+        raise StatementError("model search starts from a stratum-free skeleton")
+    options = options or FitOptions()
 
     # imported here so that `import scgm` does not load them
     import multiprocessing

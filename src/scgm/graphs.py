@@ -15,7 +15,12 @@ validation, the stratified Markov reading and the model search all use it.
 
 A graph is read against a table's variables in one place, ``validate``:
 it alone compares the graph's vertices with the variable names, and the
-library, the command line and the model search all ask it.  Given the
+library, the command line and the model search all ask it.  The check
+that refuses a graph is ``require_valid`` here, and its twins
+``regression._require_admissible`` and ``fitting.model_search``'s
+skeleton check: each raises ``InadmissibleGraphError`` (a
+``GraphFormatError``) carrying ``validate``'s problem list, and the
+command line reports that error instead of checking again.  Given the
 variables, ``stratified_markov`` returns its statements in their
 canonical form (table order, range-checked).
 
@@ -31,7 +36,7 @@ import re
 from dataclasses import dataclass
 
 from .constraints import PatternContext, Statement, render_statement, validate_statement
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InadmissibleGraphError
 
 
 @dataclass(frozen=True)
@@ -232,10 +237,10 @@ def _validate_stratum(chain, s, spec_by):
 
 
 def require_valid(graph, variables=None):
+    """Raise InadmissibleGraphError if ``validate`` finds any problem."""
     problems = validate(graph, variables)
     if problems:
-        raise GraphFormatError("; ".join(problems))
-    return graph
+        raise InadmissibleGraphError(*problems)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +398,6 @@ def neighbourhood(graph, vertices):
 # ---------------------------------------------------------------------------
 # independence extraction
 
-def _canonical_pair_key(graph, lhs, rhs):
-    pos = {v: k for k, v in enumerate(graph.vertices)}
-    a = tuple(sorted(lhs, key=pos.__getitem__))
-    b = tuple(sorted(rhs, key=pos.__getitem__))
-    return (b, a) if (len(a), a) > (len(b), b) else (a, b)
-
-
 def _component_statements(chain, name, members, missing_partner):
     """Eq.-11 style statements for one component (plain pairs only), as
     three lists: component level, missing edges, missing arcs.
@@ -415,28 +413,19 @@ def _component_statements(chain, name, members, missing_partner):
     rhs = tuple(v for v in nd if v not in pa)
     if rhs:
         c1.append(Statement(members, rhs, pa, None))
-    # within-component missing edges, one statement per vertex
+    # within-component missing edges, one statement per vertex; the mirror
+    # image of an earlier one is dropped by _dedup_statements
     c2 = []
-    seen_pairs = set()
     for g in members:
         nb = set(neighbourhood(graph, g))
-        rhs = tuple(
-            v for v in members if v not in nb and missing_partner(g, v)
-        )
-        if not rhs:
-            continue
-        key = _canonical_pair_key(graph, (g,), rhs)
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        c2.append(Statement((g,), rhs, pa, None))
+        rhs = tuple(v for v in members if v not in nb and missing_partner(g, v))
+        if rhs:
+            c2.append(Statement((g,), rhs, pa, None))
     # missing arcs from the covariate set, grouped per vertex
     c3 = []
     for g in members:
         pag = graph_parents(graph, g)
-        rhs = tuple(
-            v for v in pa if v not in pag and missing_partner(g, v)
-        )
+        rhs = tuple(v for v in pa if v not in pag and missing_partner(g, v))
         if rhs:
             c3.append(Statement((g,), rhs, pag, None))
     return c1, c2, c3
@@ -698,6 +687,8 @@ def _json_name(value):
 
 
 def graph_from_json(obj: dict) -> StratifiedChainGraph:
+    if not isinstance(obj, dict):
+        raise GraphFormatError(f"a graph must be a JSON object, got {obj!r}")
     if obj.get("schema") != "scgm-graph/1":
         raise GraphFormatError(f"unsupported graph schema {obj.get('schema')!r}")
     try:

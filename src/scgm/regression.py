@@ -34,7 +34,7 @@ from .constraints import (
 )
 from .errors import (
     AllocationCoverageError,
-    GraphFormatError,
+    InadmissibleGraphError,
     StatementError,
     UnsupportedCodingError,
 )
@@ -156,11 +156,11 @@ def graph_allocation(graph: StratifiedChainGraph, variables) -> EffectAllocation
 
 
 def _require_admissible(graph, variables):
-    """Raise GraphFormatError with every problem ``validate`` finds in the
-    graph read against ``variables``, a vertex mismatch among them."""
+    """Raise InadmissibleGraphError with every problem ``validate`` finds in
+    the graph read against ``variables``, a vertex mismatch among them."""
     problems = validate(graph, variables)
     if problems:
-        raise GraphFormatError("; ".join(problems))
+        raise InadmissibleGraphError(*problems)
 
 
 def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> RegressionSystem:
@@ -337,11 +337,11 @@ def scgm_constraint_system(graph, variables) -> ConstraintSystem:
 
     Union of the per-statement constraint systems over the graph's
     independence statements, generated against the graph's own marginal
-    sequence.
+    sequence.  ``stratified_markov`` comes first: it refuses a graph that
+    is not admissible against ``variables``.
     """
-    _require_admissible(graph, variables)
-    alloc = allocate_effects(variables, marginal_sets(graph))
     stmts = stratified_markov(graph, variables)
+    alloc = allocate_effects(variables, marginal_sets(graph))
     systems = [generate_constraints(s, variables, alloc) for s in stmts]
     return merge_systems(variables, systems, origin="chain graph model")
 

@@ -414,7 +414,10 @@ def load_table_json(text: str) -> ContingencyTable:
     for row_no, row in enumerate(payload.get("cells", []), start=1):
         try:
             cell = tuple(_json_int(l, f"cell row {row_no}: level") for l in row["cell"])
-            value = float(row["count"])
+            value = row["count"]
+            # exact types, as for levels: a JSON true or "3" is not a count
+            if type(value) not in (int, float):
+                raise TableFormatError(f"cell row {row_no}: count {value!r} is not a number")
         except (KeyError, ValueError, TypeError) as exc:
             raise TableFormatError(f"bad cell row {row!r}") from exc
         if value < 0:

@@ -413,6 +413,63 @@ def test_a_table_that_does_not_match_the_graph_is_not_admissible(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["markov", "--table", "{table}", "--graph", "{graph}"],
+        ["constraints", "--table", "{table}", "--graph", "{graph}"],
+        ["fit", "--table", "{table}", "--graph", "{graph}", "--out", "{out}"],
+        ["search", "--table", "{table}", "--graph", "{graph}", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "spec, problem",
+    [
+        ("edge 1 -- 3\n", "edge 1 -- 3 crosses components T1 and T3"),
+        ("arc 3 -> 1\n", "semi-directed cycle through components T1, T2, T3"),
+    ],
+    ids=["crossing-edge", "cycle"],
+)
+def test_a_structural_problem_is_reported_by_the_library(
+    workdir, tmp_path, capsys, argv, spec, problem
+):
+    # problems validate finds without a table: the subcommands no longer
+    # check the graph themselves, the library raises and main reports it
+    graph = tmp_path / "bad.graph"
+    graph.write_text((workdir / "true.graph").read_text(encoding="utf-8") + spec, encoding="utf-8")
+    paths = {"table": workdir / "chain.csv", "graph": graph, "out": tmp_path / "o"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"graph spec is not admissible:\n  - {problem}\n"
+    assert captured.err == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_validates_its_graph_five_times(workdir, tmp_path, monkeypatch):
+    # cli, regression and graphs each used to check the same graph: 7 calls
+    import scgm.cli
+    import scgm.fitting
+    import scgm.graphs
+    import scgm.regression
+
+    calls = []
+    original = scgm.graphs.validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (scgm.graphs, scgm.regression, scgm.fitting, scgm.cli):
+        monkeypatch.setattr(module, "validate", counting)
+    code = main(
+        ["fit", "--table", str(GOLDEN / "fig4_sparse288_0.csv"),
+         "--graph", str(GOLDEN / "fig4.graph"), "--out", str(tmp_path / "o")]
+    )
+    assert code == 0
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +645,31 @@ def test_parse_render_round_trips():
         assert render_statement(stmt) == text
         again = statement_from_json(statement_to_json(stmt))
         assert again == stmt
+
+
+GOOD_JSON = {"lhs": ["1"], "rhs": ["2"], "given": ["3"], "context": None}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([GOOD_JSON], "a statement must be a JSON object"),
+        ({**GOOD_JSON, "context": [1]}, "a context must be a JSON object or null, got [1]"),
+        ({**GOOD_JSON, "context": {"kind": "cells"}}, "missing 'cells'"),
+        ({**GOOD_JSON, "lhs": "12"}, "bad lhs '12'"),
+        ({**GOOD_JSON, "context": {"kind": "pattern", "pattern": 5}}, "bad pattern 5"),
+        ({**GOOD_JSON, "context": {"kind": "pattern", "pattern": [True]}}, "bad pattern [True]"),
+        ({**GOOD_JSON, "context": {"kind": "cells", "cells": [[1, "2"]]}}, "bad cell [1, '2']"),
+        ({**GOOD_JSON, "given": [3]}, "bad given [3]"),
+    ],
+    ids=["list", "context-list", "cells-missing", "lhs-string", "pattern-int", "pattern-bool",
+         "cell-string", "given-int"],
+)
+def test_statement_from_json_refuses_malformed_objects(obj, message):
+    # these used to raise AttributeError, KeyError or TypeError, or load a
+    # string lhs "12" as the names ('1', '2')
+    with pytest.raises(StatementError, match=re.escape(message)):
+        statement_from_json(obj)
 
 
 def test_parse_statement_errors():

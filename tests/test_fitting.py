@@ -16,7 +16,13 @@ from scgm.cli import RunConfig, _search_text
 from scgm.constraints import ConstraintSystem, Row, Term, generate_constraints, parse_statement
 import scgm.fitting
 import scgm.params
-from scgm.errors import InfeasibleSystemError, OptionError, StatementError, ZeroMassSliceError
+from scgm.errors import (
+    InadmissibleGraphError,
+    InfeasibleSystemError,
+    OptionError,
+    StatementError,
+    ZeroMassSliceError,
+)
 from scgm.fitting import (
     AIC_FORMULA,
     BIC_FORMULA,
@@ -742,14 +748,18 @@ def test_fit_options_reject_a_max_iterations_that_is_not_an_integer():
 
 
 def test_search_input_validation():
+    # options are OptionErrors, as FitOptions' are; a graph the table refuses
+    # is inadmissible before it is stratified (PLANTED4 has a fourth vertex)
     table = table_first_source_irrelevant()
-    with pytest.raises(StatementError):
+    with pytest.raises(OptionError, match="criterion"):
         model_search(table, CHAIN3, criterion="best")
     for alpha in (0.0, 1.0, 1.5, -0.1, math.nan):
-        with pytest.raises(StatementError, match="alpha"):
+        with pytest.raises(OptionError, match="alpha"):
             model_search(table, CHAIN3, alpha=alpha)
-    with pytest.raises(StatementError):
+    with pytest.raises(InadmissibleGraphError, match="do not match the table variables"):
         model_search(table, PLANTED4)
+    with pytest.raises(StatementError, match="stratum-free"):
+        model_search(table_with_context_specific_absence(), PLANTED4)
 
 
 def test_search_refuses_a_mismatched_table_before_any_pool(monkeypatch):
@@ -763,7 +773,7 @@ def test_search_refuses_a_mismatched_table_before_any_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     table = table_first_source_irrelevant()
     other = tuple(VariableSpec(f"x{s.name}", s.cardinality) for s in table.variables)
-    with pytest.raises(StatementError, match="do not match the table variables"):
+    with pytest.raises(InadmissibleGraphError, match="do not match the table variables"):
         model_search(ContingencyTable(other, table.counts), CHAIN3)
 
 

@@ -446,6 +446,13 @@ def test_json_schema_guard():
         graph_from_json({"schema": "nope/9"})
 
 
+@pytest.mark.parametrize("obj", [[1], "scgm-graph/1", None], ids=["list", "string", "null"])
+def test_graph_from_json_refuses_a_non_object(obj):
+    # a list used to raise AttributeError from obj.get
+    with pytest.raises(GraphFormatError, match="a graph must be a JSON object"):
+        graph_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # property tests over random graphs
 

@@ -1,4 +1,5 @@
-"""The package namespace: ``__all__`` against the names ``__init__`` imports."""
+"""The package namespace: ``__all__`` against the names ``__init__`` imports,
+and no module importing a name it never uses."""
 
 import ast
 import os
@@ -36,3 +37,27 @@ def test_import_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the benchmark's tracer wraps these two under the importing module's
+    # name; nothing else may import a name only to re-export it
+    pinned = {("fitting", "param_value"), ("cli", "parse_graph")}
+    unused = set()
+    for path in sorted(Path(scgm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.add((path.stem, name))
+    assert unused == pinned

@@ -1,10 +1,13 @@
-"""Property tests: every parameter evaluator against the oracle and each other.
+"""Property tests: every parameter evaluator against the oracle and each other,
+and the Markov reading of a chain graph against a distribution planted on it.
 
 Tables of 2-4 variables with cardinalities 2-4 (at most 256 cells) and
-random codings, under the saturated allocation.  Runs are derandomized so
-the suite stays deterministic.
+random codings, under the saturated allocation; plain chain graphs on 2-4
+variables of 2-3 levels.  Runs are derandomized so the suite stays
+deterministic.
 """
 
+import itertools
 import math
 
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 
 from scgm.constraints import ConstraintSystem, Row, Term, evaluate_system
 from scgm.fitting import compile_system
-from scgm.oracle import direct_param_value
+from scgm.graphs import StratifiedChainGraph, stratified_markov, validate
+from scgm.oracle import direct_param_value, plant_graph_distribution, verify_cs_direct
 from scgm.params import allocate_effects, param_vector
 from scgm.tables import CODINGS, VariableSpec, probability_vector, variable_names
 
@@ -81,3 +85,51 @@ def test_evaluate_system_is_the_row_sums(pv, data):
             total += t.coef * vec.values[t.index]
         want.append(total)
     assert evaluate_system(pv, system).tolist() == want
+
+
+@st.composite
+def plain_chain_graphs(draw):
+    """A plain chain graph, its table's variables and a plant seed.
+
+    The vertices take the variables in a drawn order and are cut into
+    components in that order, which is then a topological one; each
+    within-component edge and each arc from an earlier component to a
+    later one is present with probability 1/2.
+    """
+    n = draw(st.integers(2, 4))
+    cards = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    variables = tuple(VariableSpec(str(k + 1), card) for k, card in enumerate(cards))
+    order = draw(st.permutations([s.name for s in variables]))
+    members = [[order[0]]]
+    for name in order[1:]:
+        if draw(st.booleans()):
+            members.append([])
+        members[-1].append(name)
+    components = tuple((f"T{k + 1}", tuple(m)) for k, m in enumerate(members))
+    edges = tuple(
+        e for _, m in components for e in itertools.combinations(m, 2) if draw(st.booleans())
+    )
+    arcs = tuple(
+        (u, v)
+        for i, (_, tails) in enumerate(components)
+        for _, heads in components[i + 1 :]
+        for u in tails
+        for v in heads
+        if draw(st.booleans())
+    )
+    graph = StratifiedChainGraph(tuple(order), components, edges, arcs, ())
+    return graph, variables, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(plain_chain_graphs())
+def test_every_markov_statement_holds_on_a_planted_distribution(case):
+    graph, variables, seed = case
+    assert validate(graph, variables) == []
+    pv = plant_graph_distribution(
+        variables, [m for _, m in graph.components], graph.edges, graph.arcs, seed
+    )
+    card = {s.name: s.cardinality for s in variables}
+    for stmt in stratified_markov(graph, variables):
+        cells = list(itertools.product(*(range(1, card[g] + 1) for g in stmt.given)))
+        assert verify_cs_direct(pv, stmt.lhs, stmt.rhs, stmt.given, cells) < 1e-12, stmt

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scgm.constraints import evaluate_system, render_statement
 from scgm.errors import (
     AllocationCoverageError,
     GraphFormatError,
+    InadmissibleGraphError,
     StatementError,
     UnsupportedCodingError,
 )
@@ -20,6 +22,7 @@ from scgm.graphs import (
     marginal_sets,
     parse_graph,
     stratified_markov,
+    validate,
 )
 from scgm.oracle import random_positive
 from scgm.params import allocate_effects, param_index, param_value, param_vector
@@ -275,6 +278,31 @@ def test_vertex_and_variable_names_must_agree():
     vs = variables((2, 2, 2, 2))
     with pytest.raises(GraphFormatError):
         graph_allocation(g, vs)
+
+
+def test_each_check_raises_one_error_carrying_validates_problems():
+    # one error type carries validate's list, whichever function checks
+    bad = parse_graph("component T1 = {1}\ncomponent T2 = {2,3}\nedge 1 -- 2\narc 2 -> 3\n")
+    vs = variables((2, 2, 2))
+    problems = ["edge 1 -- 2 crosses components T1 and T2", "arc 2 -> 3 stays inside component T2"]
+    assert validate(bad, vs) == problems
+    vec = param_vector(random_positive(vs, seed=45), allocate_effects(vs, [("1", "2", "3")]))
+    calls = [
+        lambda: stratified_markov(bad, vs),
+        lambda: marginal_sets(bad),
+        lambda: graph_allocation(bad, vs),
+        lambda: scgm_constraint_system(bad, vs),
+        lambda: regression_from_params(vec, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InadmissibleGraphError) as info:
+            call()
+        assert isinstance(info.value, GraphFormatError)
+        assert info.value.problems == tuple(problems)
+        assert str(info.value) == "; ".join(problems)
+    # a worker process can send it back whole
+    again = pickle.loads(pickle.dumps(info.value))
+    assert (type(again), again.problems) == (InadmissibleGraphError, tuple(problems))
 
 
 def test_continuation_coded_covariate_is_rejected():

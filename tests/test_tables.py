@@ -158,6 +158,27 @@ def test_json_reader_refuses_non_strings(fields, message):
         load_table(json.dumps(payload), "json")
 
 
+@pytest.mark.parametrize("count", [True, "3", None, [3]], ids=["bool", "string", "null", "list"])
+def test_json_reader_refuses_a_count_that_is_not_a_number(count):
+    # true used to load as the count 1.0 and "3" as 3.0
+    payload = {
+        "schema": "scgm-table/1",
+        "variables": [{"name": "x", "cardinality": 2}],
+        "cells": [{"cell": [1], "count": count}],
+    }
+    with pytest.raises(TableFormatError, match=re.escape(f"count {count!r} is not a number")):
+        load_table(json.dumps(payload), "json")
+
+
+def test_json_reader_keeps_integer_and_fractional_counts():
+    payload = {
+        "schema": "scgm-table/1",
+        "variables": [{"name": "x", "cardinality": 2}],
+        "cells": [{"cell": [1], "count": 3}, {"cell": [2], "count": 0.5}],
+    }
+    assert load_table(json.dumps(payload), "json").counts.tolist() == [3.0, 0.5]
+
+
 def test_to_probabilities_uniform():
     pv = to_probabilities(two_by_two([1, 1, 1, 1]))
     assert np.allclose(pv.probs, 0.25)
