@@ -172,18 +172,43 @@ def _parse_names(body):
     return tuple(part.strip() for part in body.split(","))
 
 
-def _parse_tuple(text):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise StatementError(f"expected a parenthesized tuple, got {text!r}")
+_ROW_RE = re.compile(r"\(([^()]*)\)")
+_ROW_LIST_RE = re.compile(rf"\s*(?:{_ROW_RE.pattern}\s*(?:,\s*{_ROW_RE.pattern}\s*)*)?")
+
+
+def _parse_levels(row, bad_level):
+    """Levels of one row's text between its parentheses, ``1,*,3``: an int
+    per item, None for an asterisk.  Any other item, an empty one included,
+    raises ``bad_level(item, row)``."""
     items = []
-    for part in text[1:-1].split(","):
+    for part in row.split(","):
         part = part.strip()
         try:
             items.append(None if part == "*" else int(part))
         except ValueError:
-            raise StatementError(f"level {part!r} in {text!r} is not an integer or *") from None
+            raise bad_level(part, row) from None
     return tuple(items)
+
+
+def parse_rows(text, bad_level):
+    """Rows of a list of parenthesized rows separated by commas,
+    ``(1,*),(2,3)``, each read by ``_parse_levels``; ``()`` is the empty
+    row.  None when ``text`` is anything else."""
+    if not _ROW_LIST_RE.fullmatch(text):
+        return None
+    rows = _ROW_RE.findall(text)
+    return [_parse_levels(row, bad_level) if row.strip() else () for row in rows]
+
+
+def _bad_level(item, row):
+    return StatementError(f"level {item!r} in {f'({row})'!r} is not an integer or *")
+
+
+def _parse_tuple(text):
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise StatementError(f"expected a parenthesized tuple, got {text!r}")
+    return _parse_levels(text[1:-1], _bad_level)
 
 
 def parse_statement(text: str) -> Statement:
@@ -220,12 +245,11 @@ def parse_statement(text: str) -> Statement:
         if rest.startswith("{"):
             if not rest.endswith("}"):
                 raise StatementError(f"unterminated cell list in {text!r}")
-            cells = []
-            for part in re.findall(r"\(([^)]*)\)", rest[1:-1]):
-                cell = _parse_tuple("(" + part + ")")
-                if any(c is None for c in cell):
-                    raise StatementError("cell lists cannot contain asterisks")
-                cells.append(cell)
+            cells = parse_rows(rest[1:-1], _bad_level)
+            if cells is None:
+                raise StatementError(f"malformed cell list in {text!r}")
+            if any(None in cell for cell in cells):
+                raise StatementError("cell lists cannot contain asterisks")
             if not cells:
                 raise StatementError("empty cell list")
             return Statement(lhs, rhs, given, CellListContext(tuple(cells)))
@@ -254,12 +278,6 @@ def render_statement(stmt: Statement) -> str:
         return f"CS: {head} = {{{cells}}}"
     op = ">=" if ctx.direction == "geq" else "<="
     return f"CS: {head} {op} (" + ",".join(str(b) for b in ctx.bound) + ")"
-
-
-def statement_kind(stmt: Statement) -> str:
-    if stmt.context is not None:
-        return "context-specific"
-    return "conditional" if stmt.given else "marginal"
 
 
 def statement_to_json(stmt: Statement) -> dict:
@@ -520,18 +538,22 @@ def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
     ctx = stmt.context
     lower = None
     if isinstance(ctx, ThresholdContext):
-        if ctx.direction == "leq":
-            variables = reversed_context_specs(variables, set(stmt.given))
+        # the codings are checked as given, before a lower threshold reverses them
+        upper = ctx.direction == "geq"
+        side, allowed = ("upper", "continuation") if upper else ("lower", "reverse-continuation")
         spec_by = {s.name: s for s in variables}
-        lower = {}
-        for n, b in zip(stmt.given, ctx.bound):
-            spec = spec_by[n]
-            if spec.coding not in ("local", "continuation"):
+        for n in stmt.given:
+            if spec_by[n].coding not in ("local", allowed):
                 raise UnsupportedCodingError(
-                    f"upper-threshold contexts need local or continuation coding on the "
-                    f"conditioning set; {n!r} is {spec.coding}"
+                    f"{side}-threshold contexts need local or {allowed} coding on the "
+                    f"conditioning set; {n!r} is {spec_by[n].coding}"
                 )
-            lower[n] = b if ctx.direction == "geq" else spec.cardinality + 1 - b
+        lower = {
+            n: b if upper else spec_by[n].cardinality + 1 - b
+            for n, b in zip(stmt.given, ctx.bound)
+        }
+        if not upper:
+            variables = reversed_context_specs(variables, set(stmt.given))
 
     margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
     names = variable_names(variables)
@@ -546,25 +568,6 @@ def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
     origin = render_statement(stmt)
     rows = [Row(t, origin) for t in terms]
     return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
-
-
-def expected_constraint_count(stmt, variables) -> int:
-    """Closed-form count of constraints for an explicit context list.
-
-    One statement imposes (product of cardinalities over both independence
-    sides, minus one) constraints per context cell.  Per context cell, the
-    straddling effects that generate_constraints emits (before
-    deduplication) and the effects inside one side alone together have
-    exactly this many effect cells.
-    """
-    stmt = validate_statement(stmt, variables)
-    if not isinstance(stmt.context, (CellListContext, PatternContext)):
-        raise StatementError("the closed-form count applies to explicit context lists")
-    spec_by = {s.name: s for s in variables}
-    prod = 1
-    for n in stmt.lhs + stmt.rhs:
-        prod *= spec_by[n].cardinality
-    return (prod - 1) * len(context_cells(stmt, variables))
 
 
 # ---------------------------------------------------------------------------

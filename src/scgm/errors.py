@@ -15,12 +15,9 @@ class DuplicateCellError(TableFormatError):
     """The same cell appears more than once in a table source."""
 
 
-class ZeroCellError(ScgmError):
-    """An operation needed a strictly positive probability and found zero."""
-
-
 class ZeroMassSliceError(ScgmError):
-    """A conditional slice was requested on an event of zero probability."""
+    """A parameter takes the log of an event of zero probability, or a
+    conditional slice has zero mass."""
 
 
 class AllocationOrderError(ScgmError):

@@ -9,9 +9,12 @@ component-wise Markov reading.
 
 Each call that needs the component structure (the component digraph, its
 topological order, parents and non-descendants) builds it once, as a
-``_Chain``, and asks it every question.  The rule that orients a stratum
-pair and gives its conditioning scope lives in ``stratum_scope`` alone:
-validation, the stratified Markov reading and the model search all use it.
+``_Chain``, and asks it every question.  Adjacency comes from the chain
+too: validation checks a stratum's context, and the Markov reading finds
+missing edges and missing arcs, in its edge set and arc tails.  The rule
+that orients a stratum pair and gives its conditioning scope lives in
+``stratum_scope`` alone: validation, the stratified Markov reading and
+the model search all use it.
 
 A graph is read against a table's variables in one place, ``validate``:
 it alone compares the graph's vertices with the variable names, and the
@@ -35,7 +38,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .constraints import PatternContext, Statement, render_statement, validate_statement
+from .constraints import PatternContext, Statement, parse_rows, validate_statement
 from .errors import GraphFormatError, InadmissibleGraphError
 
 
@@ -374,27 +377,6 @@ def non_descendants(graph, name):
     return _Chain(graph).non_descendants(name)
 
 
-def graph_parents(graph, vertices):
-    if isinstance(vertices, str):
-        vertices = (vertices,)
-    targets = set(vertices)
-    return _order(graph, [u for u, v in graph.arcs if v in targets])
-
-
-def neighbourhood(graph, vertices):
-    if isinstance(vertices, str):
-        vertices = (vertices,)
-    vset = set(vertices)
-    out = set(vset)
-    for e in graph.edges:
-        u, v = tuple(e)
-        if u in vset:
-            out.add(v)
-        if v in vset:
-            out.add(u)
-    return _order(graph, out)
-
-
 # ---------------------------------------------------------------------------
 # independence extraction
 
@@ -405,7 +387,6 @@ def _component_statements(chain, name, members, missing_partner):
     ``missing_partner(g, v)`` filters the candidate partners of ``g`` so the
     stratified extraction can carve stratum pairs out of the plain rules.
     """
-    graph = chain.graph
     pa = chain.parents(name)
     nd = chain.non_descendants(name)
     # whole component against its non-descendants
@@ -417,14 +398,16 @@ def _component_statements(chain, name, members, missing_partner):
     # image of an earlier one is dropped by _dedup_statements
     c2 = []
     for g in members:
-        nb = set(neighbourhood(graph, g))
-        rhs = tuple(v for v in members if v not in nb and missing_partner(g, v))
+        rhs = tuple(
+            v for v in members
+            if v != g and frozenset((g, v)) not in chain.edges and missing_partner(g, v)
+        )
         if rhs:
             c2.append(Statement((g,), rhs, pa, None))
     # missing arcs from the covariate set, grouped per vertex
     c3 = []
     for g in members:
-        pag = graph_parents(graph, g)
+        pag = _order(chain.graph, chain.tails.get(g, ()))
         rhs = tuple(v for v in pa if v not in pag and missing_partner(g, v))
         if rhs:
             c3.append(Statement((g,), rhs, pag, None))
@@ -446,17 +429,6 @@ def _dedup_statements(stmts):
         seen.add(key)
         out.append(s)
     return tuple(out)
-
-
-def markov_type_iv(graph):
-    """Independence statements of a plain chain graph (every level of the
-    component-wise reading: component vs non-descendants, missing edges,
-    missing arcs).  Rejects graphs carrying strata."""
-    if graph.strata:
-        raise GraphFormatError(
-            "graph has strata; use stratified_markov for the stratified reading"
-        )
-    return stratified_markov(graph)
 
 
 def _stratum_is_degenerate(s, variables):
@@ -599,20 +571,14 @@ def parse_graph(text: str) -> StratifiedChainGraph:
         if m:
             g, d, given_s, rows_s = m.groups()
             given = tuple(p.strip() for p in given_s.split(",") if p.strip())
-            rows = []
-            for part in re.findall(r"\(([^)]*)\)", rows_s):
-                row = []
-                for item in part.split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    try:
-                        row.append(None if item == "*" else int(item))
-                    except ValueError:
-                        raise GraphFormatError(
-                            f"line {lineno}: context level {item!r} is not an integer or *"
-                        ) from None
-                rows.append(tuple(row))
+            rows = parse_rows(rows_s, lambda item, row: GraphFormatError(
+                f"line {lineno}: context level {item!r} is not an integer or *"
+            ))
+            if rows is None:
+                raise GraphFormatError(
+                    f"line {lineno}: context rows {rows_s!r} are not parenthesized"
+                    " tuples separated by commas"
+                )
             if not rows:
                 raise GraphFormatError(f"line {lineno}: stratum with no context rows")
             strata.append(Stratum((g, d), given, tuple(rows)))
@@ -731,6 +697,3 @@ def load_graph(path) -> StratifiedChainGraph:
         return graph_from_json(json.loads(text))
     return parse_graph(text)
 
-
-def statements_text(stmts) -> str:
-    return "\n".join(render_statement(s) for s in stmts) + "\n"

@@ -230,49 +230,6 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
     return system
 
 
-def params_from_regression(system: RegressionSystem) -> ParamVector:
-    """Invert the coefficient map back to the allocated parameter vector.
-
-    Baseline covariate coordinates invert by the sign alone; local
-    coordinates difference the lattice sums, with coefficients beyond the
-    top parameter cell reading as zero.
-    """
-    variables = system.variables
-    names = variable_names(variables)
-    spec_by = {s.name: s for s in variables}
-    card = {s.name: s.cardinality for s in variables}
-    values = dict(system.mixed)
-
-    for comp in system.components:
-        families = _coefficient_families(names, comp.members, comp.covariates)
-        for A, t, margin, effect, sign in families:
-            locals_ = tuple(v for v in t if spec_by[v].coding == "local")
-            for i_t in effect_cells(card, t):
-                base = dict(zip(t, i_t))
-                for i_A in effect_cells(card, A):
-                    total = 0.0
-                    for s in _subsets(locals_):
-                        shifted = dict(base)
-                        for v in s:
-                            shifted[v] += 1
-                        if any(shifted[v] >= card[v] for v in t):
-                            continue
-                        term = system.table[(A, i_A, t, tuple(shifted[v] for v in t))]
-                        total += (-1.0 if len(s) % 2 else 1.0) * term
-                    idx = param_index(
-                        variables, margin, effect, {**base, **dict(zip(A, i_A))}
-                    )
-                    values[idx] = sign * total
-
-    missing = [i for i in system.allocation.indices() if i not in values]
-    if missing:
-        raise AllocationCoverageError(
-            f"{len(missing)} allocated parameters have no regression slot, "
-            f"first: {missing[0]}"
-        )
-    return ParamVector(system.allocation, values)
-
-
 def conditional_logit(system: RegressionSystem, response_cell, context) -> float:
     """Subset-sum of coefficients at one covariate context.
 

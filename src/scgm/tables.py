@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateCellError,
-    TableFormatError,
-    ZeroCellError,
-    ZeroMassSliceError,
-)
+from .errors import DuplicateCellError, TableFormatError
 
 CODINGS = ("baseline", "local", "continuation", "reverse-continuation")
 
@@ -203,26 +198,6 @@ def probability_vector(variables, weights) -> ProbabilityVector:
     return ProbabilityVector(tuple(variables), weights / total)
 
 
-def to_probabilities(table: ContingencyTable, smoothing: float = 0.0) -> ProbabilityVector:
-    """Observed proportions, optionally smoothed by a constant per cell.
-
-    With smoothing 0 a zero count is refused: the parameters downstream
-    are undefined at zero probabilities, and silently perturbing the
-    data is worse than making the caller choose a smoothing constant.
-    """
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
-    denom = table.total + smoothing * table.counts.size
-    if denom <= 0:
-        raise ValueError("table has no mass even after smoothing")
-    probs = (table.counts + smoothing) / denom
-    if smoothing == 0.0 and np.any(probs == 0):
-        raise ZeroCellError(
-            "table contains empty cells; pass a positive smoothing value"
-        )
-    return ProbabilityVector(table.variables, probs)
-
-
 def marginalize(pv: ProbabilityVector, names) -> ProbabilityVector:
     """Marginal distribution of the named variables, in declaration order."""
     names = tuple(names)
@@ -236,37 +211,6 @@ def marginalize(pv: ProbabilityVector, names) -> ProbabilityVector:
     if drop_axes:
         arr = arr.sum(axis=drop_axes)
     return ProbabilityVector(keep, arr.ravel())
-
-
-def slice_conditional(
-    pv: ProbabilityVector, names, cell: tuple[int, ...]
-) -> ProbabilityVector:
-    """Conditional distribution of the remaining variables given names = cell."""
-    names = tuple(names)
-    fixed = subset_in_order(pv.variables, names)
-    if len(fixed) != len(names):
-        raise ValueError("conditioning variables contain duplicates")
-    level_of = dict(zip(names, cell))
-    if len(level_of) != len(names):
-        raise ValueError("conditioning cell arity mismatch")
-    index = []
-    keep = []
-    for v in pv.variables:
-        if v.name in level_of:
-            level = level_of[v.name]
-            if not 1 <= level <= v.cardinality:
-                raise ValueError(f"level {level} out of range for {v.name!r}")
-            index.append(level - 1)
-        else:
-            index.append(slice(None))
-            keep.append(v)
-    if not keep:
-        raise ValueError("conditioning on every variable leaves nothing")
-    block = pv.as_array()[tuple(index)]
-    mass = block.sum()
-    if mass <= 0:
-        raise ZeroMassSliceError(f"slice {dict(level_of)!r} has zero mass")
-    return ProbabilityVector(tuple(keep), block.ravel() / mass)
 
 
 # ---------------------------------------------------------------- I/O ---- #

@@ -16,7 +16,6 @@ from scgm.constraints import (
     ThresholdContext,
     context_cells,
     evaluate_system,
-    expected_constraint_count,
     generate_constraints,
     interaction_sets,
     merge_systems,
@@ -42,6 +41,25 @@ def reverse_variable_levels(pv, names):
     axes = tuple(k for k, spec in enumerate(pv.variables) if spec.name in names)
     arr = np.flip(pv.as_array(), axis=axes)
     return probability_vector(reversed_context_specs(pv.variables, names), arr.ravel())
+
+
+def expected_constraint_count(stmt, variables) -> int:
+    """Closed-form count of constraints for an explicit context list.
+
+    One statement imposes (product of cardinalities over both independence
+    sides, minus one) constraints per context cell.  Per context cell, the
+    straddling effects that generate_constraints emits (before
+    deduplication) and the effects inside one side alone together have
+    exactly this many effect cells.
+    """
+    stmt = validate_statement(stmt, variables)
+    if not isinstance(stmt.context, (CellListContext, PatternContext)):
+        raise StatementError("the closed-form count applies to explicit context lists")
+    spec_by = {s.name: s for s in variables}
+    prod = 1
+    for n in stmt.lhs + stmt.rhs:
+        prod *= spec_by[n].cardinality
+    return (prod - 1) * len(context_cells(stmt, variables))
 
 
 def coefficient_matrix(systems):
@@ -515,6 +533,18 @@ def test_continuation_under_lower_threshold_rejected():
         generate_constraints(stmt, vs)
 
 
+def test_a_lower_threshold_names_its_own_rule_and_the_given_coding():
+    # the coding used to be checked after the reversal, so this named the
+    # upper-threshold rule and '3' as reverse-continuation
+    vs = V((2, "baseline"), (2, "baseline"), (3, "continuation"))
+    message = (
+        "lower-threshold contexts need local or reverse-continuation coding on the "
+        "conditioning set; '3' is continuation"
+    )
+    with pytest.raises(UnsupportedCodingError, match=re.escape(message)):
+        generate_constraints(parse_statement("CS: {1} _||_ {2} | {3} <= (2)"), vs)
+
+
 def test_statement_validation_errors():
     vs = V((2, "baseline"), (2, "baseline"), (3, "baseline"))
     with pytest.raises(StatementError):
@@ -684,6 +714,16 @@ def test_parse_statement_errors():
     ]:
         with pytest.raises(StatementError):
             parse_statement(bad)
+
+
+@pytest.mark.parametrize(
+    "cells", ["{(1),(2}", "{junk(1)}"], ids=["unclosed-row", "text-before-row"]
+)
+def test_a_malformed_cell_list_is_refused(cells):
+    # the reader used to keep whatever parenthesized rows it found, and
+    # loaded both as the cells ((1,),)
+    with pytest.raises(StatementError, match="malformed cell list"):
+        parse_statement(f"CS: {{1}} _||_ {{2}} | {{3}} = {cells}")
 
 
 def test_system_json_shape():

@@ -9,23 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from scgm.constraints import PatternContext, Statement, statement_kind, validate_statement
+from scgm.constraints import PatternContext, Statement, render_statement, validate_statement
 from scgm.errors import GraphFormatError
 from scgm.graphs import (
     StratifiedChainGraph,
     Stratum,
     chain_components,
     graph_from_json,
-    graph_parents,
     graph_to_json,
     marginal_sets,
-    markov_type_iv,
-    neighbourhood,
     non_descendants,
     parents_of_component,
     parse_graph,
     render_graph,
-    statements_text,
     stratified_markov,
     stratum_scope,
     validate,
@@ -34,8 +30,8 @@ from scgm.tables import VariableSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# each Markov golden names the reading that renders it
-GOLDEN_MARKOV = {"fig_a": markov_type_iv, "fig_b": stratified_markov}
+# the graphs whose Markov reading a golden text pins
+GOLDEN_MARKOV = ("fig_a", "fig_b")
 
 
 def load(name):
@@ -44,7 +40,8 @@ def load(name):
 
 def golden_markov_text(name):
     """The statement text that ``golden/{name}_markov.txt`` pins."""
-    return statements_text(GOLDEN_MARKOV[name](load(f"{name}.graph")))
+    stmts = stratified_markov(load(f"{name}.graph"))
+    return "\n".join(render_statement(s) for s in stmts) + "\n"
 
 
 def stmt_keys(stmts):
@@ -83,7 +80,7 @@ def test_fig_a_valid():
 
 
 def test_fig_a_markov_exact():
-    got = stmt_keys(markov_type_iv(load("fig_a.graph")))
+    got = stmt_keys(stratified_markov(load("fig_a.graph")))
     assert got == {
         K("3", "4", "12"),
         K("3", "2", "1"),
@@ -117,10 +114,6 @@ def test_fig_a_accessors():
     assert parents_of_component(g, "T1") == ()
     assert non_descendants(g, "T2") == ("1", "2")
     assert non_descendants(g, "T1") == ()
-    assert graph_parents(g, "4") == ("1", "2")
-    assert graph_parents(g, "3") == ("1",)
-    assert neighbourhood(g, "5") == ("3", "4", "5")
-    assert neighbourhood(g, "3") == ("3", "5")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +133,10 @@ def test_fig_b_rendered():
 
 
 def test_fig_b_statement_kinds():
-    kinds = sorted(statement_kind(s) for s in stratified_markov(load("fig_b.graph")))
+    kinds = sorted(
+        "context-specific" if s.context is not None else "conditional" if s.given else "marginal"
+        for s in stratified_markov(load("fig_b.graph"))
+    )
     assert kinds == ["conditional", "context-specific", "marginal"]
 
 
@@ -153,7 +149,7 @@ def test_degenerate_stratum_all_asterisks():
         g.arcs,
         (Stratum(("3", "4"), ("1", "2"), ((None, None),)),),
     )
-    assert stmt_keys(stratified_markov(gb)) == stmt_keys(markov_type_iv(g))
+    assert stmt_keys(stratified_markov(gb)) == stmt_keys(stratified_markov(g))
 
 
 def test_degenerate_stratum_by_level_coverage():
@@ -167,9 +163,9 @@ def test_degenerate_stratum_by_level_coverage():
         (Stratum(("3", "4"), ("1",), ((1,), (2,))),),
     )
     variables = tuple(VariableSpec(str(k), 2, "baseline") for k in range(1, 6))
-    assert stmt_keys(stratified_markov(gb, variables)) == stmt_keys(markov_type_iv(g))
+    assert stmt_keys(stratified_markov(gb, variables)) == stmt_keys(stratified_markov(g))
     # without cardinalities the coverage is unknowable, the stratum stays
-    assert stmt_keys(stratified_markov(gb)) != stmt_keys(markov_type_iv(g))
+    assert stmt_keys(stratified_markov(gb)) != stmt_keys(stratified_markov(g))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +243,7 @@ def test_semi_directed_cycle():
     problems = validate(g)
     assert any("semi-directed cycle" in p for p in problems)
     with pytest.raises(GraphFormatError):
-        markov_type_iv(g)
+        stratified_markov(g)
 
 
 def test_duplicate_component_name_is_a_problem():
@@ -268,6 +264,21 @@ def test_arc_to_an_undeclared_vertex_is_a_problem_not_a_crash():
     problems = validate(g)
     assert "arc 1 -> 9 uses an undeclared vertex" in problems
     assert "stratum (1,2): pair spans components with no parent relation" in problems
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("(1),(2", "context rows '(1),(2' are not parenthesized tuples separated by commas"),
+        ("(1) junk (2)", "context rows '(1) junk (2)' are not parenthesized tuples"),
+        ("(1,,2)", "context level '' is not an integer or *"),
+    ],
+    ids=["unclosed-row", "text-between-rows", "empty-level"],
+)
+def test_malformed_context_rows_are_refused(rows, message):
+    # these used to load one row, two rows and the row (1, 2)
+    with pytest.raises(GraphFormatError, match=re.escape(f"line 2: {message}")):
+        parse_graph(f"component T = {{1,2,3}}\nstratum (1,2) | {{3}} = {{{rows}}}\n")
 
 
 def test_edge_across_components():
@@ -332,11 +343,6 @@ def test_validate_reports_a_vertex_mismatch_alone():
     assert validate(g, vs) == [message]
     with pytest.raises(GraphFormatError, match=re.escape(message)):
         stratified_markov(g, vs)
-
-
-def test_markov_type_iv_rejects_strata():
-    with pytest.raises(GraphFormatError, match="strat"):
-        markov_type_iv(load("fig_b.graph"))
 
 
 def test_vertex_in_two_components():
@@ -411,16 +417,16 @@ def test_stratum_scope_of_unrelated_components():
 
 def test_two_isolated_vertices_single_statement():
     g = parse_graph("component T1 = {1}\ncomponent T2 = {2}\n")
-    stmts = markov_type_iv(g)
+    stmts = stratified_markov(g)
     assert stmt_keys(stmts) == {K("1", "2")}
-    assert statement_kind(stmts[0]) == "marginal"
+    assert stmts[0].context is None and stmts[0].given == ()
 
 
 def test_isolated_vertex_grouped_against_pair():
     g = parse_graph(
         "component T1 = {1,2}\ncomponent T2 = {3}\nedge 1 -- 2\n"
     )
-    assert stmt_keys(markov_type_iv(g)) == {K("3", "12")}
+    assert stmt_keys(stratified_markov(g)) == {K("3", "12")}
 
 
 def test_round_trip_text_and_json():
@@ -530,15 +536,26 @@ def test_markov_invariant_under_relabeling():
             tuple((mapping[u], mapping[v]) for u, v in g.arcs),
             (),
         )
-        want = {rename_key(k, mapping) for k in stmt_keys(markov_type_iv(g))}
-        assert stmt_keys(markov_type_iv(relabeled)) == want
+        want = {rename_key(k, mapping) for k in stmt_keys(stratified_markov(g))}
+        assert stmt_keys(stratified_markov(relabeled)) == want
 
 
 def test_stratified_matches_plain_without_strata():
+    # an all-asterisk stratum on every missing edge is no stratum at all
     rng = random.Random(99)
     for _ in range(50):
         g = random_graph(rng)
-        assert stmt_keys(stratified_markov(g)) == stmt_keys(markov_type_iv(g))
+        present = {frozenset(e) for e in g.edges}
+        strata = tuple(
+            Stratum((u, v), pa, (tuple(None for _ in pa),))
+            for name, members in g.components
+            for pa in [parents_of_component(g, name)]
+            for u, v in itertools.combinations(members, 2)
+            if frozenset((u, v)) not in present
+        )
+        gs = replace(g, strata=strata)
+        assert validate(gs) == []
+        assert stmt_keys(stratified_markov(gs)) == stmt_keys(stratified_markov(g))
 
 
 def test_cs_outputs_pass_admissibility():

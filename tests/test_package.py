@@ -61,3 +61,39 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.add((path.stem, name))
     assert unused == pinned
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a helper only the tests call belongs in the tests.  Exempt: oracle.py,
+    # the independent cross-check, and the format writers and readers and
+    # parameter views kept as library API
+    exempt = {
+        "dump_table",
+        "graph_to_json",
+        "statement_from_json",
+        "conditional_param",
+        "baseline_from_local",
+    }
+    package = Path(scgm.__file__).parent
+    bench = package.parents[1] / "perfbench"
+    sources = sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))
+    defined = {}
+    referenced = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == package and path.stem != "oracle":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if not node.name.startswith("_"):
+                        defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = {
+        f"{module}.{name}"
+        for name, module in defined.items()
+        if name not in referenced and name not in exempt
+    }
+    assert uncalled == set()

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from scgm.constraints import evaluate_system, render_statement
+from scgm.constraints import evaluate_system, generate_constraints, render_statement
 from scgm.errors import (
     AllocationCoverageError,
     GraphFormatError,
@@ -25,19 +25,28 @@ from scgm.graphs import (
     validate,
 )
 from scgm.oracle import random_positive
-from scgm.params import allocate_effects, param_index, param_value, param_vector
+from scgm.params import (
+    ParamVector,
+    allocate_effects,
+    effect_cells,
+    param_index,
+    param_value,
+    param_vector,
+)
 from scgm.regression import (
+    RegressionSystem,
+    _coefficient_families,
+    _subsets,
     conditional_logit,
     conditional_table,
     graph_allocation,
     mixed_param_indices,
-    params_from_regression,
     regression_from_params,
     regression_report,
     report_csv_rows,
     scgm_constraint_system,
 )
-from scgm.tables import VariableSpec, probability_vector
+from scgm.tables import VariableSpec, probability_vector, variable_names
 from test_constraints import reverse_variable_levels
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -54,6 +63,49 @@ def variables(cards, codings=None, names=None):
 
 
 V5 = variables((2, 2, 2, 2, 2))
+
+
+def params_from_regression(system: RegressionSystem) -> ParamVector:
+    """Invert the coefficient map back to the allocated parameter vector.
+
+    Baseline covariate coordinates invert by the sign alone; local
+    coordinates difference the lattice sums, with coefficients beyond the
+    top parameter cell reading as zero.
+    """
+    variables = system.variables
+    names = variable_names(variables)
+    spec_by = {s.name: s for s in variables}
+    card = {s.name: s.cardinality for s in variables}
+    values = dict(system.mixed)
+
+    for comp in system.components:
+        families = _coefficient_families(names, comp.members, comp.covariates)
+        for A, t, margin, effect, sign in families:
+            locals_ = tuple(v for v in t if spec_by[v].coding == "local")
+            for i_t in effect_cells(card, t):
+                base = dict(zip(t, i_t))
+                for i_A in effect_cells(card, A):
+                    total = 0.0
+                    for s in _subsets(locals_):
+                        shifted = dict(base)
+                        for v in s:
+                            shifted[v] += 1
+                        if any(shifted[v] >= card[v] for v in t):
+                            continue
+                        term = system.table[(A, i_A, t, tuple(shifted[v] for v in t))]
+                        total += (-1.0 if len(s) % 2 else 1.0) * term
+                    idx = param_index(
+                        variables, margin, effect, {**base, **dict(zip(A, i_A))}
+                    )
+                    values[idx] = sign * total
+
+    missing = [i for i in system.allocation.indices() if i not in values]
+    if missing:
+        raise AllocationCoverageError(
+            f"{len(missing)} allocated parameters have no regression slot, "
+            f"first: {missing[0]}"
+        )
+    return ParamVector(system.allocation, values)
 
 
 def system_for(pv, graph):
@@ -450,6 +502,31 @@ def test_three_layer_system_covers_every_markov_statement():
     for row in system.rows:
         for term in row.terms:
             assert frozenset(term.index.margin) in {frozenset(m) for m in margins}
+
+
+@pytest.mark.parametrize(
+    "name, cards",
+    [
+        ("fig_a", (2, 2, 2, 2, 2)),
+        ("fig_b", (2, 2, 2, 2, 2)),
+        pytest.param(
+            "fig4",
+            (2, 2, 2, 2, 3, 3, 2),
+            # {1} _||_ {4,6} | {3,5,7} sits on the whole table
+            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"),
+        ),
+    ],
+    ids=["fig_a", "fig_b", "fig4"],
+)
+def test_each_statement_has_rows_on_its_own_variables(name, cards):
+    g = load(f"{name}.graph")
+    vs = variables(cards)
+    alloc = allocate_effects(vs, marginal_sets(g))
+    for stmt in stratified_markov(g, vs):
+        own = frozenset(stmt.lhs + stmt.rhs + stmt.given)
+        rows = generate_constraints(stmt, vs, alloc).rows
+        margins = {frozenset(t.index.margin) for row in rows for t in row.terms}
+        assert margins == {own}, render_statement(stmt)
 
 
 def test_fig4_report_keys_covariates_in_table_order():

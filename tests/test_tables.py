@@ -10,15 +10,11 @@ from scgm import (
     ProbabilityVector,
     TableFormatError,
     VariableSpec,
-    ZeroCellError,
     dump_table,
     load_table,
     marginalize,
     probability_vector,
-    slice_conditional,
-    to_probabilities,
 )
-from scgm.errors import ZeroMassSliceError
 
 V2 = VariableSpec("X1", 2)
 W2 = VariableSpec("X2", 2)
@@ -179,21 +175,6 @@ def test_json_reader_keeps_integer_and_fractional_counts():
     assert load_table(json.dumps(payload), "json").counts.tolist() == [3.0, 0.5]
 
 
-def test_to_probabilities_uniform():
-    pv = to_probabilities(two_by_two([1, 1, 1, 1]))
-    assert np.allclose(pv.probs, 0.25)
-
-
-def test_to_probabilities_zero_cell_refused():
-    with pytest.raises(ZeroCellError):
-        to_probabilities(two_by_two([0, 1, 1, 2]))
-
-
-def test_to_probabilities_smoothing_arithmetic():
-    pv = to_probabilities(two_by_two([0, 1, 1, 2]), smoothing=0.5)
-    assert np.allclose(pv.probs, [0.5 / 6, 1.5 / 6, 1.5 / 6, 2.5 / 6])
-
-
 def test_marginalize_product_structure():
     pv = probability_vector((V2, W2), np.outer([0.3, 0.7], [0.4, 0.6]).ravel())
     m = marginalize(pv, ("X1",))
@@ -227,45 +208,6 @@ def test_marginalize_tower_property():
     small_direct = marginalize(pv, ("A",))
     small_via = marginalize(big, ("A",))
     assert np.max(np.abs(small_direct.probs - small_via.probs)) < 1e-14
-
-
-def test_slice_conditional_uniform():
-    pv = probability_vector((V2, W2), [0.25, 0.25, 0.25, 0.25])
-    s = slice_conditional(pv, ("X2",), (1,))
-    assert np.allclose(s.probs, [0.5, 0.5])
-
-
-def test_slice_conditional_arithmetic():
-    pv = probability_vector((V2, W2), [0.1, 0.2, 0.3, 0.4])
-    s = slice_conditional(pv, ("X1",), (1,))
-    assert np.allclose(s.probs, [1 / 3, 2 / 3])
-
-
-def test_slice_conditional_planted_equality():
-    # both X1-slices carry the same conditional law by construction
-    cond = np.array([0.2, 0.8])
-    joint = np.concatenate([0.3 * cond, 0.7 * cond])
-    pv = probability_vector((V2, W2), joint)
-    s1 = slice_conditional(pv, ("X1",), (1,))
-    s2 = slice_conditional(pv, ("X1",), (2,))
-    assert np.allclose(s1.probs, s2.probs)
-
-
-def test_slice_conditional_zero_mass():
-    pv = ProbabilityVector((V2, W2), np.array([0.0, 0.0, 0.5, 0.5]))
-    with pytest.raises(ZeroMassSliceError):
-        slice_conditional(pv, ("X1",), (1,))
-
-
-def test_mixture_of_slices_reconstructs_joint():
-    rng = np.random.default_rng(11)
-    vs = (VariableSpec("A", 3), VariableSpec("B", 2))
-    pv = probability_vector(vs, rng.gamma(1.0, size=6))
-    weights = marginalize(pv, ("A",)).probs
-    rebuilt = np.concatenate(
-        [w * slice_conditional(pv, ("A",), (i + 1,)).probs for i, w in enumerate(weights)]
-    )
-    assert np.max(np.abs(rebuilt - pv.probs)) < 1e-15
 
 
 def test_probability_vector_must_sum_to_one():
