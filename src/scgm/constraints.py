@@ -10,7 +10,10 @@ picks the margin its rows sit on and builds one of two row shapes:
   conditioning variable, under any coding.  An upper threshold (>=) is the
   region at its bound, which needs local or continuation conditioning
   variables.  A lower threshold (<=) is an upper one on reversed scales,
-  so it needs local or reverse-continuation ones.
+  so it needs reverse-continuation ones, which become continuation there.
+  A local variable would keep its label there, but its parameters change
+  meaning on the reversed scale and the rows would not hold on the table
+  as given, so local coding is refused under a lower threshold.
 * context cells (a cell list or an asterisk pattern): per context cell, one
   signed row per straddling effect and effect cell, alternating over
   subsets of the conditioning set.  Each conditioning variable is baseline
@@ -540,12 +543,14 @@ def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
     if isinstance(ctx, ThresholdContext):
         # the codings are checked as given, before a lower threshold reverses them
         upper = ctx.direction == "geq"
-        side, allowed = ("upper", "continuation") if upper else ("lower", "reverse-continuation")
+        side, allowed = (
+            ("upper", ("local", "continuation")) if upper else ("lower", ("reverse-continuation",))
+        )
         spec_by = {s.name: s for s in variables}
         for n in stmt.given:
-            if spec_by[n].coding not in ("local", allowed):
+            if spec_by[n].coding not in allowed:
                 raise UnsupportedCodingError(
-                    f"{side}-threshold contexts need local or {allowed} coding on the "
+                    f"{side}-threshold contexts need {' or '.join(allowed)} coding on the "
                     f"conditioning set; {n!r} is {spec_by[n].coding}"
                 )
         lower = {

@@ -9,7 +9,10 @@ event matrix A and a coefficient matrix C; the system is compiled to that
 form once and the solver works with exact gradients.  ``compile_system``
 reads the events and signs from a ``params.EventCache``, the numbering
 every other parameter evaluation reads, and builds A and the signed
-event rows P of the referenced parameters from it.
+event rows P of the referenced parameters from it.  It accumulates C
+from each row's terms and their indices' signed events; C = C_idx P for
+the rows' coefficients C_idx on the parameters, but neither C_idx nor
+the product is formed.
 
 A is kept as an ``EventMap``, never as a dense matrix: the (event, cell)
 pairs, for the event masses A pi by ``np.bincount``, and a d x K table of
@@ -71,6 +74,19 @@ the chosen point without evaluating it again: the last point of a
 converged run, whose loop-top B gives the rank of J = B diag(pi), or the
 best point of an unconverged one, the only case that rebuilds its
 Jacobian.
+
+A fit holds the EventMap, the dense C (rows x events, for the BLAS
+product C log(A pi)), P as its (row, event, sign) entries, and two R x K
+buffers that the solver loop owns and overwrites.  Each loop top writes
+B into the first buffer and B diag(pi), which only the stationarity
+reads, into the second; the step then writes Jt over it and scales its
+rows in place, and the rank scales the first buffer to J once the loop
+is done.  P becomes dense only inside ``param_values``, for ``eta_hat``
+(648 x 1404, 7.3 MB on fig4 at 3^7 cells).  The R x K arrays left per
+iteration are the row norms' Jt * Jt and the thin QR's own copies and
+Q, so a fit at R = 468, K = 2187 peaks near five R x K arrays (41 MB
+under tracemalloc); fresh temporaries for B, B diag(pi), Jt and the norm
+and a dense P kept for the whole fit made that 5.8.
 
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
@@ -147,6 +163,9 @@ RIDGE = 1e-12
 
 # halvings of the step length tried before an iteration counts as stalled
 STEP_HALVING_MAX = 20
+
+# cells per block of EventMap.spread's added gathers: a rows x 256 temporary
+SPREAD_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +340,25 @@ class EventMap:
         """A v: v summed over each event's cells."""
         return np.bincount(self.rows, weights=v[self.cols], minlength=self.shape[0])
 
-    def spread(self, X, w):
+    def spread(self, X, w, out):
         """X diag(w) A for X with one column per event, C-ordered.
 
         Column k is the sum of the columns of X * w at cell k's event ids,
         added in ascending id order as a dense product adds them.
         ``np.take`` keeps the gathers C-ordered, where ``Xw[:, ids]`` would
-        give F order.
+        give F order.  The result is written into ``out``, a C-ordered
+        rows x cells array the caller owns; no rows x cells temporary is
+        made, as the gathers past the first are added ``SPREAD_BLOCK``
+        columns at a time.  Mode "clip" lets ``np.take``
+        write straight into ``out``; every id is in range, so it clips none.
         """
         padded = np.zeros((X.shape[0], self.shape[0] + 1))
         np.multiply(X, w, out=padded[:, :-1])
-        out = np.take(padded, self.ids[0], axis=1)
+        out = np.take(padded, self.ids[0], axis=1, out=out, mode="clip")
         for ids in self.ids[1:]:
-            out += np.take(padded, ids, axis=1)
+            for start in range(0, ids.size, SPREAD_BLOCK):
+                block = slice(start, start + SPREAD_BLOCK)
+                out[:, block] += np.take(padded, ids[block], axis=1)
         return out
 
 
@@ -341,18 +366,22 @@ class EventMap:
 class CompiledSystem:
     """Constraint rows as h(pi) = C log(A pi); A is the ``EventMap`` of
     the events' cells, not a dense matrix.  ``A.shape`` is (events, cells)
-    and ``A.nbytes`` counts the map's own arrays.
+    and ``A.nbytes`` counts the map's own arrays.  C is dense, rows x
+    events, so that C log(A pi) is one matrix-vector product.
 
-    P holds one signed event row per entry of ``indices``, so the
-    parameters referenced by the system are P log(A pi) and C = C_idx P
-    for the rows' coefficients C_idx on those parameters.
+    The parameters referenced by the system are P log(A pi), P holding one
+    signed event row per entry of ``indices``; C = C_idx P for the rows'
+    coefficients C_idx on those parameters.  P is kept as its nonzero
+    entries ``P_entries`` = (rows, events, signs), index by index and each
+    index's events in signed-event order, and made dense only inside
+    ``param_values``, for ``eta_hat``.
     """
 
     variables: tuple
     indices: tuple
     A: EventMap
     C: np.ndarray
-    P: np.ndarray
+    P_entries: tuple
 
     @property
     def n_rows(self) -> int:
@@ -361,13 +390,16 @@ class CompiledSystem:
     def param_values(self, pi):
         """Every parameter in ``indices`` at pi, in that order."""
         masses = self.A.sums(pi)
+        rows, events, signs = self.P_entries
         if np.any(masses <= 0.0):
-            zero = np.nonzero(self.P[:, masses <= 0.0].any(axis=1))[0][0]
-            idx = self.indices[zero]
+            idx = self.indices[rows[(masses <= 0.0)[events]].min()]
             raise ZeroMassSliceError(
                 f"zero-probability event for parameter {idx.margin}/{idx.effect}"
             )
-        return self.P @ np.log(masses)
+        # the dense product, for its summation order
+        P = np.zeros((len(self.indices), self.A.shape[0]))
+        P[rows, events] = signs
+        return P @ np.log(masses)
 
 
 def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledSystem:
@@ -377,6 +409,10 @@ def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledS
     refused.  Events keep their first-seen order among the terms of
     ``system.indices``, as a fresh cache numbers them: it fixes the
     summation order of C log(A pi).
+
+    C is accumulated entry by entry, coef * sign for each row term and
+    each of its index's signed events, with no C_idx matrix or product:
+    every addend is an integer, so each entry is exact whatever the order.
     """
     variables = tuple(variables)
     if cache is None:
@@ -396,18 +432,28 @@ def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledS
         [cell for eid in pos for cell in cache.cells(eid)],
         (len(pos), n_cells),
     )
-    P = np.zeros((len(indices), len(pos)))
-    # an index's events are distinct, so no entry is written twice
-    P[
-        [i for i, (row_ids, _) in enumerate(terms) for _ in row_ids],
-        [pos[eid] for eid in ids],
-    ] = [sign for _, signs in terms for sign in signs]
+    # an index's events are distinct, so no entry of P repeats
+    counts = np.array([len(row_ids) for row_ids, _ in terms], dtype=np.intp)
+    P_rows = np.repeat(np.arange(len(indices)), counts)
+    P_events = np.array([pos[eid] for eid in ids], dtype=np.intp)
+    P_signs = np.array([sign for _, signs in terms for sign in signs], dtype=float)
+
     index_pos = {idx: i for i, idx in enumerate(indices)}
-    C_idx = np.zeros((len(system.rows), len(indices)))
-    for r, row in enumerate(system.rows):
-        for term in row.terms:
-            C_idx[r, index_pos[term.index]] += term.coef
-    return CompiledSystem(variables, indices, A, C_idx @ P, P)
+    term_rows, term_index, term_coefs = np.array(
+        [(r, index_pos[t.index], t.coef) for r, row in enumerate(system.rows) for t in row.terms],
+        dtype=np.intp,
+    ).reshape(-1, 3).T
+    # each row term repeated over its index's entries of P
+    n = counts[term_index]
+    first = (np.cumsum(counts) - counts)[term_index]
+    entry = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    C = np.zeros((len(system.rows), len(pos)))
+    np.add.at(
+        C,
+        (np.repeat(term_rows, n), P_events[entry]),
+        np.repeat(term_coefs, n) * P_signs[entry],
+    )
+    return CompiledSystem(variables, indices, A, C, (P_rows, P_events, P_signs))
 
 
 @dataclass(frozen=True)
@@ -438,34 +484,44 @@ def _point(compiled, p_obs, x):
     return _Point(x, pi, masses, loglik, compiled.C @ np.log(masses))
 
 
-def _centred_jacobian(compiled, point):
+def _centred_jacobian(compiled, point, out):
     """B = M - (M pi) 1^T for M = dh/dpi; the logit Jacobian is B diag(pi).
 
     M = C diag(1/m) A for the event masses m, gathered by ``EventMap.spread``
     from the columns of C * (1/m): d column gathers added in event order,
     the same sums as the dense product, C-ordered so that M pi and the QR
-    of the step see the dense product's layout.  M is centred in place.
+    of the step see the dense product's layout.  M is written into ``out``
+    and centred in place.
     """
-    M = compiled.A.spread(compiled.C, 1.0 / point.masses)
+    M = compiled.A.spread(compiled.C, 1.0 / point.masses, out=out)
     M -= (M @ point.pi)[:, None]
     return M
 
 
-def _kkt(compiled, p_obs, point, lam):
-    """B, max |stationarity| and max |h| at a point and lam."""
-    B = _centred_jacobian(compiled, point)
-    stationarity = (p_obs - point.pi) - (B * point.pi[None, :]).T @ lam
+def _kkt(compiled, p_obs, point, lam, work):
+    """B, max |stationarity| and max |h| at a point and lam.
+
+    ``work`` is the fit's pair of R x K buffers: B goes into the first,
+    and J = B diag(pi), which only the stationarity reads, into the second.
+    """
+    B = _centred_jacobian(compiled, point, out=work[0])
+    J = np.multiply(B, point.pi[None, :], out=work[1])
+    stationarity = (p_obs - point.pi) - J.T @ lam
     return B, float(np.abs(stationarity).max()), float(np.abs(point.h).max())
 
 
-def _projection_step(B, pi, g, h):
+def _projection_step(B, pi, g, h, out):
     """Newton step (dx, lam) on the logits, from a thin QR of the R x K Jt.
 
     Solves (diag(pi) + RIDGE I) dx + J^T lam = g, J dx = -h for
     J = B diag(pi): in the coordinates u = s dx, s = sqrt(pi + RIDGE), the
     step is q = g / s plus the minimum-norm w with Jt w = -h - Jt q, where
     Jt = J diag(1/s), and lam solves Jt^T lam = -w.  Rows of Jt and the
-    right-hand side are scaled to unit norm.
+    right-hand side are scaled to unit norm.  Jt is written into ``out``,
+    an R x K array the caller owns, and overwritten by its scaled rows;
+    B is only read.  The row norms are numpy's 2-norm as
+    ``np.linalg.norm`` computes it for real arrays, without its conjugate
+    copy.
 
     The reduced QR Jt^T = Q T (Q of K x R with orthonormal columns, T upper
     triangular) gives pinv(Jt) = Q T^-T, so w = Q y for y = T^-T rhs and,
@@ -482,10 +538,10 @@ def _projection_step(B, pi, g, h):
     keeps a direction lstsq would drop.
     """
     s = np.sqrt(pi + RIDGE)
-    Jt = B * (pi / s)[None, :]
+    Jt = np.multiply(B, (pi / s)[None, :], out=out)
     q = g / s
     rhs = -h - Jt @ q
-    norms = np.linalg.norm(Jt, axis=1)
+    norms = np.sqrt(np.add.reduce(Jt * Jt, axis=1))
     norms[norms == 0.0] = 1.0
     Jt /= norms[:, None]
     rhs /= norms
@@ -506,10 +562,12 @@ def _projection_step(B, pi, g, h):
     return dx, lam
 
 
-def _rank(mat, rows) -> int:
-    if mat.size == 0 or rows == 0:
+def _rank(B, pi, rows) -> int:
+    """Numerical rank of J = B diag(pi); B is scaled to J in place."""
+    if B.size == 0 or rows == 0:
         return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
+    B *= pi[None, :]
+    sv = np.linalg.svd(B, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > sv[0] * 1e-10 * rows))
@@ -570,19 +628,21 @@ def fit_constrained(
     # each loop-top point exists
     point = _point(compiled, p_obs, np.log(start))
     lam = np.zeros(compiled.n_rows)
+    # the R x K arrays of every iteration: B, then B diag(pi) and Jt in turn
+    work = (np.empty((compiled.n_rows, n_cells)), np.empty((compiled.n_rows, n_cells)))
     converged = stalled = False
     best = None  # (feasibility, -loglik, point, lam)
     stalls = 0
 
     for iterations in range(1, options.max_iterations + 1):
-        B, stationarity, feas = _kkt(compiled, p_obs, point, lam)
+        B, stationarity, feas = _kkt(compiled, p_obs, point, lam, work)
         if best is None or (feas, -point.loglik) < best[:2]:
             best = (feas, -point.loglik, point, lam)
         if feas < options.constraint_tolerance and stationarity < options.gradient_tolerance:
             converged = True
             break
 
-        dx, lam = _projection_step(B, point.pi, p_obs - point.pi, point.h)
+        dx, lam = _projection_step(B, point.pi, p_obs - point.pi, point.h, out=work[1])
         mu = max(1.0, 2.0 * float(np.abs(lam).max(initial=0.0)))
         phi0 = point.merit(mu)
         alpha = 1.0
@@ -601,9 +661,9 @@ def fit_constrained(
 
     if not converged:
         _, _, point, lam = best
-        B, stationarity, feas = _kkt(compiled, p_obs, point, lam)
+        B, stationarity, feas = _kkt(compiled, p_obs, point, lam, work)
     kkt_residual = max(stationarity, feas)
-    df = _rank(B * point.pi[None, :], compiled.n_rows)
+    df = _rank(B, point.pi, compiled.n_rows)
 
     # a truncated run is merely unconverged; only a stalled solver that is
     # still far from the constraint set indicates an infeasible system

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,15 +249,19 @@ def test_threshold_at_the_bottom_gives_the_plain_rows_in_order(stmt):
     # effects; the last two statements declare a conditioning variable
     # before a side variable
     vs = V((3, "local"), (4, "local"), (3, "local"), (3, "local"))
-    plain = generate_constraints(stmt, vs)
-    for direction in ("geq", "leq"):
+    # a lower threshold takes reverse-continuation conditioning variables
+    reverse = tuple(
+        replace(s, coding="reverse-continuation") if s.name in stmt.given else s for s in vs
+    )
+    for direction, codings in (("geq", vs), ("leq", reverse)):
+        plain = generate_constraints(stmt, codings)
         bound = (1,) * len(stmt.given)
         if direction == "leq":
             # the lower threshold's region at the top level is the same
             # region on reversed scales
             bound = tuple(vs[int(n) - 1].cardinality for n in stmt.given)
         ctx = ThresholdContext(bound, direction)
-        cs = generate_constraints(Statement(stmt.lhs, stmt.rhs, stmt.given, ctx), vs)
+        cs = generate_constraints(Statement(stmt.lhs, stmt.rhs, stmt.given, ctx), codings)
         assert [r.terms for r in cs.rows] == [r.terms for r in plain.rows]
         assert cs.pre_dedup_count == plain.pre_dedup_count
 
@@ -538,11 +543,37 @@ def test_a_lower_threshold_names_its_own_rule_and_the_given_coding():
     # upper-threshold rule and '3' as reverse-continuation
     vs = V((2, "baseline"), (2, "baseline"), (3, "continuation"))
     message = (
-        "lower-threshold contexts need local or reverse-continuation coding on the "
+        "lower-threshold contexts need reverse-continuation coding on the "
         "conditioning set; '3' is continuation"
     )
     with pytest.raises(UnsupportedCodingError, match=re.escape(message)):
         generate_constraints(parse_statement("CS: {1} _||_ {2} | {3} <= (2)"), vs)
+
+
+def test_a_lower_threshold_refuses_local_coding_and_holds_on_its_plant():
+    # 1 and 2 share one product block at levels 1-2 of 3 and are dependent
+    # at levels 3-4; local coding, before it was refused, gave rows on the
+    # reversed scale that read max |h| 2.5 on this plant, and a fit of its
+    # expected counts at N = 10000 G2 = 158 on df 2
+    rng = np.random.default_rng(11)
+    shared = np.outer(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2)))
+    blocks = [shared, shared] + [rng.dirichlet(np.ones(4)).reshape(2, 2) for _ in range(2)]
+    weights = np.stack(blocks, axis=-1) * rng.dirichlet(np.ones(4))  # axes 1, 2, 3
+    stmt = parse_statement("CS: {1} _||_ {2} | {3} <= (2)")
+    message = (
+        "lower-threshold contexts need reverse-continuation coding on the "
+        "conditioning set; '3' is local"
+    )
+    with pytest.raises(UnsupportedCodingError, match=re.escape(message)):
+        generate_constraints(stmt, V((2, "baseline"), (2, "baseline"), (4, "local")))
+
+    vs = V((2, "baseline"), (2, "baseline"), (4, "reverse-continuation"))
+    pv = probability_vector(vs, weights)
+    assert oracle.verify_cs_direct(pv, ("1",), ("2",), ("3",), ((1,), (2,))) < 1e-15
+    # the rows hold on the table as given, not only on a flipped one
+    assert np.max(np.abs(evaluate_system(pv, generate_constraints(stmt, vs)))) <= 1e-12
+    wider = parse_statement("CS: {1} _||_ {2} | {3} <= (3)")
+    assert np.max(np.abs(evaluate_system(pv, generate_constraints(wider, vs)))) > 1e-3
 
 
 def test_statement_validation_errors():
@@ -641,7 +672,7 @@ def test_generation_validates_each_statement_once(monkeypatch):
         "CS: {1} _||_ {2} | {3} = (2)",
         "CS: {1} _||_ {2} | {3} = {(1),(3)}",
         "CS: {1} _||_ {2} | {3} >= (2)",
-        "CS: {1} _||_ {2} | {3,4} <= (2,2)",
+        "CS: {1} _||_ {2} | {4} <= (2)",
     ]:
         calls.clear()
         generate_constraints(parse_statement(text), vs)
@@ -765,7 +796,7 @@ GOLDEN_STATEMENTS = {
     "ci": "CI: {2} _||_ {4} | {3}",
     "cells": "CS: {1} _||_ {4} | {2,6} = {(1,2),(3,1)}",
     "geq": "CS: {1} _||_ {2} | {3,5} >= (2,2)",
-    "leq": "CS: {1} _||_ {6} | {4,5} <= (2,2)",
+    "leq": "CS: {1} _||_ {6} | {4} <= (2)",
 }
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -200,7 +201,10 @@ def test_plant_and_fit_reaches_zero_deviance():
 
 
 def reference_compile(variables, system):
-    """A, C and P built event by event from ``signed_events``, without a cache."""
+    """Dense A, C_idx and P built event by event from ``signed_events``, without a cache.
+
+    C_idx holds the rows' coefficients on ``system.indices``, so C = C_idx P.
+    """
     shape = tuple(s.cardinality for s in variables)
     names = [s.name for s in variables]
     events = {}  # (margin, levels) -> position, in first-seen order
@@ -231,7 +235,7 @@ def reference_compile(variables, system):
     for r, row in enumerate(system.rows):
         for term in row.terms:
             C_idx[r, index_pos[term.index]] += term.coef
-    return A, C_idx @ P, P
+    return A, C_idx, P
 
 
 def dense_matrix(event_map):
@@ -245,6 +249,14 @@ def assert_same_arrays(got, want):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+def dense_P(compiled):
+    """The dense P that a compiled system keeps as its entries."""
+    rows, events, signs = compiled.P_entries
+    P = np.zeros((len(compiled.indices), compiled.A.shape[0]))
+    P[rows, events] = signs
+    return P
 
 
 def test_compile_system_rejects_a_cache_for_other_variables():
@@ -611,9 +623,11 @@ def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch, tm
         fresh = compile_cached(V4, system)
         event_map = (compiled.A.rows, compiled.A.cols, compiled.A.ids)
         assert_same_arrays(event_map, (fresh.A.rows, fresh.A.cols, fresh.A.ids))
-        got = (dense_matrix(compiled.A), compiled.C, compiled.P)
-        assert_same_arrays(got, (dense_matrix(fresh.A), fresh.C, fresh.P))
-        assert_same_arrays(got, reference_compile(V4, system))
+        assert_same_arrays(compiled.P_entries, fresh.P_entries)
+        got = (dense_matrix(compiled.A), compiled.C, dense_P(compiled))
+        assert_same_arrays(got[:2], (dense_matrix(fresh.A), fresh.C))
+        A, C_idx, P = reference_compile(V4, system)
+        assert_same_arrays(got, (A, C_idx @ P, P))
 
 
 def test_each_search_starts_an_empty_cache(monkeypatch, tmp_path):
@@ -801,6 +815,23 @@ def golden_table(name):
         return load_table(fh, format="csv")
 
 
+# fig4 at 3^7 cells under the dense fit benchmark's codings: R = 468 rows
+# over 1404 events and 648 parameter indices, and cells in two events
+DENSE_VARIABLES = tuple(
+    VariableSpec(str(i + 1), 3, coding)
+    for i, coding in enumerate(
+        ("continuation", "local", "local", "local", "baseline", "baseline", "baseline")
+    )
+)
+
+
+def dense_table(seed):
+    """A fig4 3^7 table of N = 20000 drawn from Dirichlet(3) cell probabilities."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(3**7, 3.0))
+    return ContingencyTable(DENSE_VARIABLES, rng.multinomial(20000, probs).astype(float))
+
+
 @pytest.mark.parametrize("index", range(len(SPARSE_G2)))
 def test_sparse_tables_converge_to_their_deviance(index):
     table = golden_table(f"fig4_sparse288_{index}.csv")
@@ -899,13 +930,13 @@ def test_projection_step_matches_the_dense_kkt_step(case, monkeypatch):
     for _ in range(3):
         point = _point(compiled, counts / N, x)
         pi, h = point.pi, point.h
-        B = _centred_jacobian(compiled, point)
+        B = _centred_jacobian(compiled, point, out=np.empty((compiled.n_rows, counts.size)))
         if repeated:
             # the first row once more: J has rank R - 1
             B, h = np.vstack([B, B[:1]]), np.append(h, h[0])
         g = counts / N - pi
         dx_ref, lam_ref = dense_kkt_step(B * pi, pi, g, h)
-        dx, lam = _projection_step(B, pi, g, h)
+        dx, lam = _projection_step(B, pi, g, h, out=np.empty_like(B))
         # steps that differ along the all-ones direction move pi alike
         centred = np.abs((dx - pi @ dx) - (dx_ref - pi @ dx_ref))
         assert centred.max() < 1e-7
@@ -942,13 +973,16 @@ def planted128_search_systems():
     return table, searched_systems(trace)
 
 
-@pytest.mark.parametrize("case", ["fig_a", "fig4-288", "planted128-search"])
+@pytest.mark.parametrize("case", ["fig_a", "fig4-288", "fig4-3^7", "planted128-search"])
 def test_centred_jacobian_equals_the_dense_product(case, request):
     if case == "fig_a":
         table = ContingencyTable(V5, 10000.0 * planted_fig_a(0))
         systems = [scgm_constraint_system(FIG_A, V5)]
     elif case == "fig4-288":
         table = golden_table("fig4_sparse288_0.csv")
+        systems = [scgm_constraint_system(FIG4, table.variables)]
+    elif case == "fig4-3^7":
+        table = dense_table(0)
         systems = [scgm_constraint_system(FIG4, table.variables)]
     else:
         table, systems = request.getfixturevalue("planted128_search_systems")
@@ -957,13 +991,16 @@ def test_centred_jacobian_equals_the_dense_product(case, request):
     for system in systems:
         compiled = compile_system(table.variables, system)
         point = start_point(compiled, table)
-        B = _centred_jacobian(compiled, point)
-        assert B.flags.c_contiguous
+        # written into a buffer, as the solver does, that holds no Jacobian yet
+        out = np.full((compiled.n_rows, table.counts.size), np.nan)
+        B = _centred_jacobian(compiled, point, out=out)
+        assert B is out
         assert np.array_equal(B, dense_centred_jacobian(compiled, point))
         assert np.allclose(point.masses, dense_matrix(compiled.A) @ point.pi, rtol=1e-14, atol=0)
         depths.add(compiled.A.ids.shape[0])
-    if case == "planted128-search":
-        # cells in several events: the gathers are added, not only copied
+    if case in ("fig4-3^7", "planted128-search"):
+        # cells in several events: the gathers are added, not only copied,
+        # and on 2187 cells in several column blocks
         assert max(depths) > 1
 
 
@@ -977,10 +1014,10 @@ def test_event_map_gives_uncovered_cells_zero_columns():
     assert uncovered.tolist() == [True] * 2 + [False] * 4
     table = ContingencyTable(vs, np.arange(1.0, 7.0))
     point = start_point(compiled, table)
-    M = compiled.A.spread(compiled.C, 1.0 / point.masses)
+    M = compiled.A.spread(compiled.C, 1.0 / point.masses, out=np.empty((1, 6)))
     assert np.array_equal(M, compiled.C @ (A / point.masses[:, None]))
     assert not M[:, uncovered].any()
-    B = _centred_jacobian(compiled, point)
+    B = _centred_jacobian(compiled, point, out=np.empty((1, 6)))
     assert np.array_equal(B, dense_centred_jacobian(compiled, point))
 
 
@@ -990,5 +1027,40 @@ def test_event_map_of_a_system_without_events():
     assert compiled.A.shape == (0, 6)
     point = start_point(compiled, ContingencyTable(vs, np.arange(1.0, 7.0)))
     assert point.masses.shape == point.h.shape == (0,)
-    assert _centred_jacobian(compiled, point).shape == (0, 6)
+    assert _centred_jacobian(compiled, point, out=np.empty((0, 6))).shape == (0, 6)
     assert compiled.param_values(point.pi).shape == (0,)
+
+
+@pytest.mark.parametrize("case", ["fig4-3^7", "fig4-288", "planted128-candidate"])
+def test_compile_matches_the_coefficient_product_and_the_dense_p(case):
+    # C is accumulated from the rows' terms and P kept as its entries; the
+    # reference forms C_idx and P densely and takes their product
+    table, graph = {
+        "fig4-3^7": lambda: (dense_table(0), FIG4),
+        "fig4-288": lambda: (golden_table("fig4_sparse288_0.csv"), FIG4),
+        "planted128-candidate": lambda: (golden_table("planted128_0.csv"), planted128_0_candidate()),
+    }[case]()
+    system = scgm_constraint_system(graph, table.variables)
+    compiled = compile_system(table.variables, system)
+    A, C_idx, P = reference_compile(table.variables, system)
+    assert np.array_equal(dense_matrix(compiled.A), A)
+    assert np.array_equal(compiled.C, C_idx @ P)
+    assert np.array_equal(dense_P(compiled), P)
+    pi = start_point(compiled, table).pi
+    assert np.array_equal(compiled.param_values(pi), P @ np.log(compiled.A.sums(pi)))
+
+
+def test_a_dense_fit_holds_about_five_jacobian_sized_arrays():
+    # the fit's working set in units of one R x K array of floats: the two
+    # buffers B and Jt, and the thin QR's copies of Jt and its Q, at its peak
+    table = dense_table(1)
+    system = scgm_constraint_system(FIG4, table.variables)
+    unit = len(system.rows) * table.counts.size * 8
+    tracemalloc.start()
+    try:
+        result = fit_constrained(table, system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak <= 5.25 * unit, peak / unit
