@@ -7,18 +7,26 @@ picks the margin its rows sit on and builds one of two row shapes:
   sides, widened by any subset of the conditioning set, each parameter
   whose conditioning coordinates sit at or above a per-variable lower
   bound vanishes.  A plain independence is the region at bound 1 on every
-  conditioning variable, under any coding.  An upper threshold (>=) is the
-  region at its bound, which needs local or continuation conditioning
-  variables.  A lower threshold (<=) is an upper one on reversed scales,
-  so it needs reverse-continuation ones, which become continuation there.
-  A local variable would keep its label there, but its parameters change
-  meaning on the reversed scale and the rows would not hold on the table
-  as given, so local coding is refused under a lower threshold.
+  conditioning variable.  Its rows hold slice by slice when the
+  conditioning variables are baseline or local coded.  A continuation or
+  reverse-continuation parameter pools the levels on one side of its
+  observed level, so with such a conditioning variable the rows also
+  force independence within each pooled set: a smaller, pooled-margin
+  model, which is still open as item 15 of ROADMAP.md.  An upper
+  threshold (>=) at bound b is the region at b.  A lower threshold (<=)
+  at bound b on a c-level variable is the region at c + 1 - b: a
+  reverse-continuation parameter at coordinate j contrasts level
+  c + 1 - j with the levels below it, so its contrast stays within levels
+  1..b exactly when j >= c + 1 - b, and a reverse-continuation variable
+  outside the effect is pinned at level 1.
 * context cells (a cell list or an asterisk pattern): per context cell, one
   signed row per straddling effect and effect cell, alternating over
   subsets of the conditioning set.  Each conditioning variable is baseline
   (pins its context coordinate; top levels drop out by nullity) or local
   (contributes the lattice sum at or above it).
+
+``CONTEXT_CODINGS`` lists the codings each context form admits on its
+conditioning variables; they are checked before any row is built.
 
 Row order is deterministic.  Straddling effects come by (size, declaration
 position) in both shapes.  Region rows then run over the conditioning
@@ -42,12 +50,7 @@ import numpy as np
 
 from .errors import StatementError, UnsupportedCodingError
 from .params import ParamIndex, effect_cells, index_to_json, param_index, param_values
-from .tables import (
-    ProbabilityVector,
-    VariableSpec,
-    variable_names,
-    variables_to_json,
-)
+from .tables import ProbabilityVector, variable_names, variables_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +369,11 @@ class Row:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Deduplicated constraint rows plus the variables they refer to.
+    """Deduplicated constraint rows plus the variables they are stated on.
 
-    For a lower-threshold (``<=``) statement the variables carry reversed
-    level scales for the conditioning set: the rows are those of the upper
-    threshold at level c + 1 - k of a c-level variable bounded at k, with
-    continuation and reverse-continuation codings swapped.  Such a system
-    holds on a table whose conditioning axes are flipped to match.
+    The variables are the caller's, codings included: a row's parameters
+    mean what those codings make them mean, so the system holds on a table
+    with the same variables.
     """
 
     variables: tuple
@@ -447,7 +448,8 @@ def _inner_context_terms(spec_by, c_vars, kcell_map):
     Returns the list of cells (dicts) the inner sum runs over for the
     context subset ``c_vars``, or [] when a baseline coordinate sits at the
     top level (the term vanishes).  Baseline pins the context coordinate,
-    local sums the lattice at or above it.
+    local sums the lattice at or above it; callers check that every
+    variable is one of the two.
     """
     axes = []
     for v in c_vars:
@@ -457,33 +459,19 @@ def _inner_context_terms(spec_by, c_vars, kcell_map):
             if k == spec.cardinality:
                 return []
             axes.append([(v, k)])
-        elif spec.coding == "local":
-            axes.append([(v, i) for i in range(k, spec.cardinality)])
         else:
-            raise UnsupportedCodingError(
-                f"explicit context cells need baseline or local coding on the "
-                f"conditioning set; {v!r} is {spec.coding}"
-            )
+            axes.append([(v, i) for i in range(k, spec.cardinality)])
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
-def reversed_context_specs(variables, names):
-    """Variable specs after reversing the named scales.
-
-    Continuation and reverse-continuation exchange roles on a reversed
-    scale; baseline and local keep their labels.
-    """
-    flip = {"continuation": "reverse-continuation", "reverse-continuation": "continuation"}
-    out = []
-    for spec in variables:
-        if spec.name in names:
-            out.append(
-                VariableSpec(spec.name, spec.cardinality, flip.get(spec.coding, spec.coding),
-                             tuple(reversed(spec.level_labels)) if spec.level_labels else None)
-            )
-        else:
-            out.append(spec)
-    return tuple(out)
+# The codings each context form admits on its conditioning variables, and
+# the form's name in the refusal.  Cell lists and patterns read the
+# context as slices, which baseline and local parameters pin.
+CONTEXT_CODINGS = {
+    "geq": ("upper-threshold contexts", ("local", "continuation")),
+    "leq": ("lower-threshold contexts", ("reverse-continuation",)),
+    "cells": ("explicit context cells", ("baseline", "local")),
+}
 
 
 def _region_terms(stmt, variables, margin, effects, lower=None):
@@ -529,36 +517,35 @@ def _context_cell_terms(stmt, variables, margin, effects):
 
 
 def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
-    """Constraint rows of one independence statement.
+    """Constraint rows of one independence statement, on ``variables``.
 
     The rows sit on the first marginal of ``alloc`` that contains the
     statement's variables, or on exactly those variables without an
-    allocation.  A lower threshold is normalized by reversing the
-    conditioning scales first, and the returned system's variables carry
-    those reversed specs.
+    allocation.  A threshold's rows are the region at a lower bound per
+    conditioning variable: the bound b of an upper threshold, and
+    c + 1 - b for a lower one on a c-level variable.  A conditioning
+    variable whose coding ``CONTEXT_CODINGS`` does not list for the
+    context's form raises UnsupportedCodingError.
     """
     stmt = validate_statement(stmt, variables)
     ctx = stmt.context
-    lower = None
-    if isinstance(ctx, ThresholdContext):
-        # the codings are checked as given, before a lower threshold reverses them
-        upper = ctx.direction == "geq"
-        side, allowed = (
-            ("upper", ("local", "continuation")) if upper else ("lower", ("reverse-continuation",))
-        )
-        spec_by = {s.name: s for s in variables}
+    spec_by = {s.name: s for s in variables}
+    if ctx is not None:
+        form, allowed = CONTEXT_CODINGS[
+            ctx.direction if isinstance(ctx, ThresholdContext) else "cells"
+        ]
         for n in stmt.given:
             if spec_by[n].coding not in allowed:
                 raise UnsupportedCodingError(
-                    f"{side}-threshold contexts need {' or '.join(allowed)} coding on the "
+                    f"{form} need {' or '.join(allowed)} coding on the "
                     f"conditioning set; {n!r} is {spec_by[n].coding}"
                 )
+    lower = None
+    if isinstance(ctx, ThresholdContext):
         lower = {
-            n: b if upper else spec_by[n].cardinality + 1 - b
+            n: b if ctx.direction == "geq" else spec_by[n].cardinality + 1 - b
             for n, b in zip(stmt.given, ctx.bound)
         }
-        if not upper:
-            variables = reversed_context_specs(variables, set(stmt.given))
 
     margin = _margin_for(variables, set(stmt.lhs + stmt.rhs + stmt.given), alloc)
     names = variable_names(variables)

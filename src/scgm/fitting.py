@@ -593,8 +593,8 @@ def fit_constrained(
     """
     options = options or FitOptions()
     variables = table.variables
-    if system.rows and [(s.name, s.cardinality) for s in variables] != [
-        (s.name, s.cardinality) for s in system.variables
+    if system.rows and [(s.name, s.cardinality, s.coding) for s in variables] != [
+        (s.name, s.cardinality, s.coding) for s in system.variables
     ]:
         raise StatementError("constraint system and table have different variables")
     counts = np.asarray(table.counts, dtype=float)

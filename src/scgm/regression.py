@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .constraints import (
+    CONTEXT_CODINGS,
     ConstraintSystem,
     _inner_context_terms,
     generate_constraints,
@@ -179,6 +180,8 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
 
     # every variable is a response of one component
     standard = all(s.coding in ("baseline", "local") for s in variables)
+    # covariates are read as slices, as context cells are
+    covariate_codings = CONTEXT_CODINGS["cells"][1]
     components = []
     table = {}
     for name, members in chain_components(graph):
@@ -187,11 +190,11 @@ def regression_from_params(vec: ParamVector, graph: StratifiedChainGraph) -> Reg
         members = _ordered(names, members)
         pa = _ordered(names, parents_of_component(graph, name))
         for v in pa:
-            if spec_by[v].coding not in ("baseline", "local"):
+            if spec_by[v].coding not in covariate_codings:
                 raise UnsupportedCodingError(
                     f"covariate {v!r} of component {name!r} is "
                     f"{spec_by[v].coding}-coded; regression covariates need "
-                    "baseline or local coding"
+                    f"{' or '.join(covariate_codings)} coding"
                 )
 
         coeffs = []

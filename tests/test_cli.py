@@ -252,6 +252,28 @@ def test_constraints_from_statement(workdir, capsys):
     assert payload["run"]["aic_formula"].startswith("AIC = ")
 
 
+def test_lower_threshold_constraints_carry_the_tables_codings(tmp_path, capsys):
+    vs = (
+        VariableSpec("1", 2),
+        VariableSpec("2", 2, "local"),
+        VariableSpec("3", 3, "reverse-continuation"),
+    )
+    table = tmp_path / "leq.csv"
+    table.write_text(dump_table(ContingencyTable(vs, np.arange(1.0, 13.0))), encoding="utf-8")
+    code = main(
+        ["constraints", "--table", str(table),
+         "--statement", "CS: {1} _||_ {2} | {3} <= (2)", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    payload = json.loads((tmp_path / "out" / "constraints.json").read_text(encoding="utf-8"))
+    assert payload["variables"] == [
+        {"name": "1", "cardinality": 2, "coding": "baseline"},
+        {"name": "2", "cardinality": 2, "coding": "local"},
+        {"name": "3", "cardinality": 3, "coding": "reverse-continuation"},
+    ]
+    assert len(payload["rows"]) == 2
+
+
 def test_constraints_from_graph_prints_json_without_out(workdir, capsys):
     code = main(
         ["constraints", "--table", str(workdir / "chain.csv"),

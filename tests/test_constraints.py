@@ -22,7 +22,6 @@ from scgm.constraints import (
     merge_systems,
     parse_statement,
     render_statement,
-    reversed_context_specs,
     statement_from_json,
     statement_to_json,
     system_to_json,
@@ -37,11 +36,27 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def reverse_variable_levels(pv, names):
-    """Flip the level order of the named variables and swap their codings,
-    as a lower-threshold system's variables expect."""
+    """Flip the level order of the named variables.
+
+    A flipped variable keeps its name, cardinality and (reversed) labels.
+    Continuation and reverse-continuation swap, so each parameter keeps its
+    value: a reverse-continuation parameter at coordinate j is the
+    continuation parameter at j of the flipped scale.  Baseline and local
+    keep their labels, whose parameters change meaning.
+    """
+    swap = {"continuation": "reverse-continuation", "reverse-continuation": "continuation"}
     axes = tuple(k for k, spec in enumerate(pv.variables) if spec.name in names)
-    arr = np.flip(pv.as_array(), axis=axes)
-    return probability_vector(reversed_context_specs(pv.variables, names), arr.ravel())
+    variables = tuple(
+        replace(
+            spec,
+            coding=swap.get(spec.coding, spec.coding),
+            level_labels=spec.level_labels and spec.level_labels[::-1],
+        )
+        if spec.name in names
+        else spec
+        for spec in pv.variables
+    )
+    return probability_vector(variables, np.flip(pv.as_array(), axis=axes).ravel())
 
 
 def expected_constraint_count(stmt, variables) -> int:
@@ -379,6 +394,32 @@ def test_continuation_threshold_needs_common_margins():
     _assert_system_zero(pooled, generate_constraints(stmt, vs))
 
 
+ITEM_15 = pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+
+
+@pytest.mark.parametrize(
+    "coding",
+    [
+        "baseline",
+        "local",
+        pytest.param("continuation", marks=ITEM_15),
+        pytest.param("reverse-continuation", marks=ITEM_15),
+    ],
+)
+def test_plain_rows_hold_slice_by_slice_under_the_conditioning_coding(coding):
+    # a continuation or reverse-continuation parameter of 3 pools slices,
+    # and a mixture of products with different margins is not a product:
+    # those rows read 0.09-0.45 here, the rows of the pooled-margin model
+    vs = V((3, "local"), (3, "local"), (4, coding))
+    stmt = Statement(("1",), ("2",), ("3",))
+    system = generate_constraints(stmt, vs)
+    slices = tuple((k,) for k in range(1, 5))
+    for seed in range(3):
+        pv = oracle.plant_distribution(vs, ("1",), ("2",), ("3",), slices, seed=seed)
+        assert oracle.verify_cs_direct(pv, ("1",), ("2",), ("3",), slices) < 1e-12
+        assert np.max(np.abs(evaluate_system(pv, system))) <= 1e-12, seed
+
+
 def test_threshold_rows_detect_dependence():
     vs = V((2, "baseline"), (2, "baseline"), (4, "local"), (4, "continuation"))
     stmt = Statement(("1",), ("2",), ("3", "4"), ThresholdContext((2, 2), "geq"))
@@ -388,26 +429,29 @@ def test_threshold_rows_detect_dependence():
     assert np.max(np.abs(vals)) > 1e-3
 
 
-def test_lower_threshold_normalizes_by_reversal():
-    # <= 3 on a 4-level reverse-continuation variable becomes >= 2 on the
-    # reversed (continuation) scale; rows agree and vanish on a table with
-    # independence planted in the lower region of the original scale.
+def test_lower_threshold_is_the_upper_one_on_the_flipped_table():
+    # <= 3 on a 4-level reverse-continuation variable: the region at
+    # 4 + 1 - 3 = 2, stated on the variables as given.  Its reference is
+    # >= 2 on the flipped table, where 3 is continuation coded; both give
+    # the same rows and vanish on a table with independence planted in
+    # levels 1-3 of the original scale.
     vs = V((2, "baseline"), (2, "baseline"), (4, "reverse-continuation"))
     stmt = Statement(("1",), ("2",), ("3",), ThresholdContext((3,), "leq"))
     sys_ = generate_constraints(stmt, vs)
-    assert sys_.variables[2].coding == "continuation"
+    assert sys_.variables == vs
 
-    flipped = Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq"))
-    direct = generate_constraints(flipped, sys_.variables)
-    assert row_set(sys_) == row_set(direct)
-
-    region = ((1,), (2,), (3,))  # original-scale cells at or below 3
+    region = ((1,), (2,), (3,))
     pv = oracle.plant_distribution(
         vs, ("1",), ("2",), ("3",), region, seed=4, homogeneous=True
     )
     rev = reverse_variable_levels(pv, {"3"})
-    assert tuple(s.coding for s in rev.variables) == tuple(s.coding for s in sys_.variables)
-    _assert_system_zero(rev, sys_)
+    assert rev.variables[2].coding == "continuation"
+    flipped = Statement(("1",), ("2",), ("3",), ThresholdContext((2,), "geq"))
+    reference = generate_constraints(flipped, rev.variables)
+    assert row_set(sys_) == row_set(reference)
+    assert sys_.pre_dedup_count == reference.pre_dedup_count
+    _assert_system_zero(pv, sys_)
+    _assert_system_zero(rev, reference)
 
 
 def test_conditional_rows_vanish_iff_fully_independent():

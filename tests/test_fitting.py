@@ -338,6 +338,19 @@ def test_variable_mismatch_is_rejected():
         fit_constrained(ContingencyTable(other, np.ones(4)), system)
 
 
+def test_a_system_stated_on_other_codings_is_rejected():
+    # the rows read 3's parameters under the table's coding, so a system
+    # generated with 3 local would fit a pooled-margin model in silence
+    def coded(coding):
+        return (VariableSpec("1", 2), VariableSpec("2", 2), VariableSpec("3", 3, coding))
+
+    system = generate_constraints(parse_statement("CI: {1} _||_ {2} | {3}"), coded("local"))
+    counts = np.arange(1.0, 13.0)
+    assert fit_constrained(ContingencyTable(coded("local"), counts), system).converged
+    with pytest.raises(StatementError, match="different variables"):
+        fit_constrained(ContingencyTable(coded("continuation"), counts), system)
+
+
 def test_fit_json_round():
     vs = variables((2, 2))
     system = generate_constraints(parse_statement("CI: {1} _||_ {2}"), vs)
