@@ -265,7 +265,24 @@ def parse_statement(text: str) -> Statement:
 
 
 def render_statement(stmt: Statement) -> str:
-    """Canonical textual form; inverse of parse_statement up to whitespace."""
+    """Canonical textual form; inverse of parse_statement up to whitespace.
+
+    A variable name that parse_statement would not read back raises
+    StatementError: an empty name, one with whitespace at either end
+    (stripped on reading) or one holding ',' or '}' (a set's syntax).
+    """
+    for name in stmt.lhs + stmt.rhs + stmt.given:
+        if not name or name != name.strip() or "," in name or "}" in name:
+            raise StatementError(
+                f"variable name {name!r} would not read back from a statement's "
+                "text, whose sets split at ',', end at '}' and strip whitespace"
+            )
+    return _statement_text(stmt)
+
+
+def _statement_text(stmt: Statement) -> str:
+    """The text ``render_statement`` writes, for any names: a system's
+    origin label, which nothing parses."""
 
     def names(group):
         return "{" + ",".join(group) + "}"
@@ -557,7 +574,7 @@ def generate_constraints(stmt, variables, alloc=None) -> ConstraintSystem:
         terms = _context_cell_terms(stmt, variables, margin, effects)
     else:
         terms = _region_terms(stmt, variables, margin, effects, lower)
-    origin = render_statement(stmt)
+    origin = _statement_text(stmt)
     rows = [Row(t, origin) for t in terms]
     return ConstraintSystem(tuple(variables), _dedup(rows), len(rows), origin)
 

@@ -76,17 +76,17 @@ best point of an unconverged one, the only case that rebuilds its
 Jacobian.
 
 A fit holds the EventMap, the dense C (rows x events, for the BLAS
-product C log(A pi)), P as its (row, event, sign) entries, and two R x K
-buffers that the solver loop owns and overwrites.  Each loop top writes
-B into the first buffer and B diag(pi), which only the stationarity
-reads, into the second; the step then writes Jt over it and scales its
-rows in place, and the rank scales the first buffer to J once the loop
-is done.  P becomes dense only inside ``param_values``, for ``eta_hat``
-(648 x 1404, 7.3 MB on fig4 at 3^7 cells).  The R x K arrays left per
-iteration are the row norms' Jt * Jt and the thin QR's own copies and
-Q, so a fit at R = 468, K = 2187 peaks near five R x K arrays (41 MB
-under tracemalloc); fresh temporaries for B, B diag(pi), Jt and the norm
-and a dense P kept for the whole fit made that 5.8.
+product C log(A pi)), P as its (row, event, sign) entries, and one R x K
+array that the solver loop owns and the step consumes.  Each loop top
+writes B into it, and the stationarity reads B only through B^T lam;
+the step then scales it in place into Jt and Jt's unit-norm rows, so B
+is gone once the step has run.  A converged run stops at a loop top,
+with B still in the array, and the rank scales it to J; an unconverged
+one writes B again for its best point first.  P becomes dense only
+inside ``param_values``, for ``eta_hat`` (648 x 1404, 7.3 MB on fig4 at
+3^7 cells).  The R x K arrays left per iteration are the row norms'
+Jt * Jt and the thin QR's own copies and Q, so a fit at R = 468,
+K = 2187 peaks near four R x K arrays (33 MB under tracemalloc).
 
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
@@ -498,37 +498,39 @@ def _centred_jacobian(compiled, point, out):
     return M
 
 
-def _kkt(compiled, p_obs, point, lam, work):
+def _kkt(compiled, p_obs, point, lam, out):
     """B, max |stationarity| and max |h| at a point and lam.
 
-    ``work`` is the fit's pair of R x K buffers: B goes into the first,
-    and J = B diag(pi), which only the stationarity reads, into the second.
+    B is written into ``out``, the fit's one R x K array.  The stationarity
+    (p_obs - pi) - J^T lam, J = B diag(pi), is read as pi * (B^T lam): one
+    matrix-vector product on B, with no R x K product formed.
     """
-    B = _centred_jacobian(compiled, point, out=work[0])
-    J = np.multiply(B, point.pi[None, :], out=work[1])
-    stationarity = (p_obs - point.pi) - J.T @ lam
+    B = _centred_jacobian(compiled, point, out=out)
+    stationarity = (p_obs - point.pi) - point.pi * (B.T @ lam)
     return B, float(np.abs(stationarity).max()), float(np.abs(point.h).max())
 
 
-def _projection_step(B, pi, g, h, out):
+def _projection_step(B, pi, g, h):
     """Newton step (dx, lam) on the logits, from a thin QR of the R x K Jt.
 
     Solves (diag(pi) + RIDGE I) dx + J^T lam = g, J dx = -h for
     J = B diag(pi): in the coordinates u = s dx, s = sqrt(pi + RIDGE), the
     step is q = g / s plus the minimum-norm w with Jt w = -h - Jt q, where
     Jt = J diag(1/s), and lam solves Jt^T lam = -w.  Rows of Jt and the
-    right-hand side are scaled to unit norm.  Jt is written into ``out``,
-    an R x K array the caller owns, and overwritten by its scaled rows;
-    B is only read.  The row norms are numpy's 2-norm as
+    right-hand side are scaled to unit norm.  The step consumes B: it is
+    scaled in place into Jt and then into Jt's unit-norm rows, and nothing
+    reads B after that.  The row norms are numpy's 2-norm as
     ``np.linalg.norm`` computes it for real arrays, without its conjugate
     copy.
 
     The reduced QR Jt^T = Q T (Q of K x R with orthonormal columns, T upper
     triangular) gives pinv(Jt) = Q T^-T, so w = Q y for y = T^-T rhs and,
     as Q^T w = y, lam = -T^-1 y; T^-T applied to the residual of J dx = -h
-    refines dx.  T^-T is formed once, as a general R x R inverse (numpy has
-    no triangular solver); no K x R pseudo-inverse is formed.  T is taken
-    as rank-deficient when R > K or min |t_ii| <= eps max(R, K) max |t_ii|;
+    refines dx.  With Jt's rows at unit norm, that residual over the norms
+    is -h / norms - Jt (s dx).  T^-T is formed once, as a general R x R
+    inverse (numpy has no triangular solver); no K x R pseudo-inverse is
+    formed.  T is taken as rank-deficient when R > K or
+    min |t_ii| <= eps max(R, K) max |t_ii|;
     T^-T is then replaced by pinv(T^T) with the cutoff lstsq uses, singular
     values at or below eps max(R, K) times the largest.  Jt and T^T share
     their singular values, so the step equals lstsq's minimum-norm answer
@@ -538,7 +540,7 @@ def _projection_step(B, pi, g, h, out):
     keeps a direction lstsq would drop.
     """
     s = np.sqrt(pi + RIDGE)
-    Jt = np.multiply(B, (pi / s)[None, :], out=out)
+    Jt = np.multiply(B, (pi / s)[None, :], out=B)
     q = g / s
     rhs = -h - Jt @ q
     norms = np.sqrt(np.add.reduce(Jt * Jt, axis=1))
@@ -557,7 +559,7 @@ def _projection_step(B, pi, g, h, out):
     dx = (q + Q @ y) / s
     # one step of refinement on J dx = -h: where a cell's mass nears zero, q
     # and w are large and cancel in q + w, leaving J dx off by far more than h
-    residual = (-h - B @ (pi * dx)) / norms
+    residual = -h / norms - Jt @ (s * dx)
     dx += (Q @ (Tt_inv @ residual)) / s
     return dx, lam
 
@@ -628,8 +630,8 @@ def fit_constrained(
     # each loop-top point exists
     point = _point(compiled, p_obs, np.log(start))
     lam = np.zeros(compiled.n_rows)
-    # the R x K arrays of every iteration: B, then B diag(pi) and Jt in turn
-    work = (np.empty((compiled.n_rows, n_cells)), np.empty((compiled.n_rows, n_cells)))
+    # the one R x K array of every iteration: B, which the step turns into Jt
+    work = np.empty((compiled.n_rows, n_cells))
     converged = stalled = False
     best = None  # (feasibility, -loglik, point, lam)
     stalls = 0
@@ -642,7 +644,7 @@ def fit_constrained(
             converged = True
             break
 
-        dx, lam = _projection_step(B, point.pi, p_obs - point.pi, point.h, out=work[1])
+        dx, lam = _projection_step(B, point.pi, p_obs - point.pi, point.h)
         mu = max(1.0, 2.0 * float(np.abs(lam).max(initial=0.0)))
         phi0 = point.merit(mu)
         alpha = 1.0

@@ -592,20 +592,42 @@ def parse_graph(text: str) -> StratifiedChainGraph:
     )
 
 
+def _require_writable(names, what, reserved="#,}"):
+    """Refuse a name that parse_graph would not read back: an empty one,
+    one holding whitespace, where directives split, or a reserved
+    character: '#' starts a comment anywhere, and a vertex list splits at
+    ',' and ends at '}'.  A component name, read up to its '=', reserves
+    only '#'."""
+    for name in names:
+        if not name or any(c.isspace() or c in reserved for c in name):
+            raise GraphFormatError(
+                f"{what} {name!r} would not read back from the graph text "
+                f"format, which reserves whitespace and {' '.join(reserved)} "
+                "in it; write the graph as JSON"
+            )
+
+
 def render_graph(graph: StratifiedChainGraph) -> str:
+    """The graph's text spec, as parse_graph reads it.  A name it would not
+    read back raises GraphFormatError."""
     lines = []
     for name, members in graph.components:
+        _require_writable((name,), "component name", reserved="#")
+        _require_writable(members, "vertex name")
         lines.append(f"component {name} = {{{','.join(members)}}}")
     for u, v in graph.edges:
+        _require_writable((u, v), "vertex name")
         lines.append(f"edge {u} -- {v}")
     for u, v in graph.arcs:
+        _require_writable((u, v), "vertex name")
         lines.append(f"arc {u} -> {v}")
     lines += [render_stratum(s) for s in graph.strata]
     return "\n".join(lines) + "\n"
 
 
 def render_stratum(s: Stratum) -> str:
-    """The stratum's line of a graph spec."""
+    """The stratum's line of a graph spec; refuses names as render_graph does."""
+    _require_writable(s.pair + s.given, "vertex name")
     rows = ",".join(
         "(" + ",".join("*" if lvl is None else str(lvl) for lvl in p) + ")"
         for p in s.patterns

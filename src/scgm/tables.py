@@ -303,6 +303,18 @@ def dump_table_csv(table: ContingencyTable) -> str:
                 f"variable {v.name!r} has level labels, which the CSV format "
                 "cannot hold; write the table as JSON"
             )
+        if (
+            "," in v.name
+            or v.name != v.name.strip()
+            or v.name.splitlines() != [v.name]
+            or v.name.startswith(("#", "cell:"))
+        ):
+            raise TableFormatError(
+                f"variable name {v.name!r} would not read back from CSV, which "
+                "splits rows at line breaks and fields at commas, strips "
+                "whitespace and reads rows starting '#' or 'cell:' as comments "
+                "and cells; write the table as JSON"
+            )
         lines.append(f"{v.name},{v.cardinality},{v.coding}")
     for cell, count in zip(all_cells(table.variables), table.counts):
         lines.append("cell:" + ",".join(str(l) for l in cell) + f",{float(count)!r}")

@@ -864,3 +864,18 @@ def test_graph_system_matches_golden():
 def test_statement_system_matches_golden(name):
     want = (GOLDEN / f"constraints_{name}.json").read_text(encoding="utf-8")
     assert golden_constraints_text(name) == want
+
+
+def test_render_refuses_a_name_the_statement_text_cannot_read_back():
+    # a set splits at ',', ends at '}' and strips its names: 'a,b' read back
+    # as two names, 'a}b' failed to parse and ' x' read back as 'x'
+    for name in ("a,b", "a}b", " x", ""):
+        for stmt in (
+            Statement((name,), ("2",), (), None),
+            Statement(("1",), ("2",), (name,), PatternContext((1,))),
+        ):
+            with pytest.raises(StatementError, match=re.escape(repr(name))):
+                render_statement(stmt)
+    # '{' is not a set's end, so it reads back
+    stmt = Statement(("a{b",), ("2",), ("{",), PatternContext((1,)))
+    assert parse_statement(render_statement(stmt)) == stmt

@@ -436,6 +436,27 @@ def test_round_trip_text_and_json():
         assert graph_from_json(json.loads(json.dumps(graph_to_json(g)))) == g
 
 
+def test_render_refuses_a_name_the_text_format_cannot_read_back():
+    # '#' starts a comment, so 'component T1 = {a#b}' was written and then
+    # refused on reading; JSON holds any name
+    g = graph_from_json({
+        "schema": "scgm-graph/1",
+        "components": [{"name": "T1", "vertices": ["a#b", "c"]}],
+        "edges": [["a#b", "c"]],
+    })
+    with pytest.raises(GraphFormatError, match=re.escape("'a#b'")):
+        render_graph(g)
+    for vertex in ("a b", "a,b", "a}b", ""):
+        bad = replace(g, vertices=("c", vertex), components=(("T1", ("c", vertex)),), edges=())
+        with pytest.raises(GraphFormatError, match=re.escape(repr(vertex))):
+            render_graph(bad)
+    with pytest.raises(GraphFormatError, match=re.escape("'T 1'")):
+        render_graph(replace(g, components=(("T 1", ("c",)),), vertices=("c",), edges=()))
+    # a component name is read up to its '=', so ',' and '}' read back there
+    ok = StratifiedChainGraph(("x", "y"), (("T,}", ("x", "y")),), (), (), ())
+    assert parse_graph(render_graph(ok)) == ok
+
+
 def test_parse_errors():
     for text in (
         "",

@@ -109,6 +109,18 @@ def test_csv_writer_refuses_level_labels_json_keeps_them():
     assert again.variables == table.variables
 
 
+@pytest.mark.parametrize("name", ["a,b", " x", "#x", "cell:x", "a\x0bb"])
+def test_csv_writer_refuses_a_name_its_reader_cannot_read_back(name):
+    # the reader splits fields at commas, strips whitespace, reads rows
+    # starting '#' or 'cell:' as comments and cells, and splits at line
+    # breaks; 'a,b' was refused on reading and ' x' read back as 'x'
+    table = ContingencyTable((VariableSpec(name, 2), W2), np.array([10.0, 20.0, 30.0, 40.0]))
+    with pytest.raises(TableFormatError, match=re.escape(repr(name))):
+        dump_table(table, "csv")
+    again = load_table(dump_table(table, "json"), "json")
+    assert again.variables == table.variables
+
+
 def test_json_schema_required():
     with pytest.raises(TableFormatError):
         load_table('{"variables": [], "cells": []}', "json")
