@@ -9,21 +9,23 @@ event matrix A and a coefficient matrix C; the system is compiled to that
 form once and the solver works with exact gradients.  ``compile_system``
 reads the events and signs from a ``params.EventCache``, the numbering
 every other parameter evaluation reads, and builds A and the signed
-event rows P of the referenced parameters from it.  It accumulates C
+event rows P of the referenced parameters from it.  It sums C's entries
 from each row's terms and their indices' signed events; C = C_idx P for
 the rows' coefficients C_idx on the parameters, but neither C_idx nor
 the product is formed.
 
-A is kept as an ``EventMap``, never as a dense matrix: the (event, cell)
-pairs, for the event masses A pi by ``np.bincount``, and a d x K table of
-each cell's event ids, for the Jacobian C diag(1/m) A as d column gathers
-of C diag(1/m).  Events pin most variables, so A is almost all zeros: a
-2187-cell fit has 1404 events and 1755 nonzeros, a dense A of 24.6 MB,
-and no cell lies in more than 2 events (d = 2; d = 1 on the 288-cell
-fits, where every event is one cell, and at most 4 on a 128-cell
-search's systems).  The dense product that formed the Jacobian made a
-second A-sized temporary; the gathers make none and give the same
-Jacobian bit for bit on every system the tests compare.
+A and C are kept as their nonzeros.  Events pin most variables: a
+2187-cell fit has 1404 events, and a dense A would take 24.6 MB and a
+dense C (468 x 1404, 1.8% nonzero) 5.3 MB.  The ``EventMap`` holds A's
+(event, cell) pairs, for A pi by ``np.bincount``, and a d x K table of
+each cell's event ids (d = 2 there, 1 on the 288-cell fits, at most 4 on
+a 128-cell search's systems).  The ``CoefficientMap`` holds C's (row,
+event, value) entries; C log(A pi), like P log(A pi), is one
+``np.bincount``.  The Jacobian C diag(1/m) A is scattered from C's
+entries into a zero-filled R x K array, each cell's terms added in
+ascending event id as a dense product adds them.  Cells in the same
+events share their Jacobian column, so J's rank is taken on one column
+per such group (1054 of the 2187 cells).
 
 The map is read through the cache: each parameter index's event ids and
 signs, one id per distinct (margin, levels) event, and each event's cells
@@ -75,18 +77,15 @@ converged run, whose loop-top B gives the rank of J = B diag(pi), or the
 best point of an unconverged one, the only case that rebuilds its
 Jacobian.
 
-A fit holds the EventMap, the dense C (rows x events, for the BLAS
-product C log(A pi)), P as its (row, event, sign) entries, and one R x K
-array that the solver loop owns and the step consumes.  Each loop top
-writes B into it, and the stationarity reads B only through B^T lam;
-the step then scales it in place into Jt and Jt's unit-norm rows, so B
-is gone once the step has run.  A converged run stops at a loop top,
-with B still in the array, and the rank scales it to J; an unconverged
-one writes B again for its best point first.  P becomes dense only
-inside ``param_values``, for ``eta_hat`` (648 x 1404, 7.3 MB on fig4 at
-3^7 cells).  The R x K arrays left per iteration are the row norms'
-Jt * Jt and the thin QR's own copies and Q, so a fit at R = 468,
-K = 2187 peaks near four R x K arrays (33 MB under tracemalloc).
+A fit holds the two maps, P as its (row, event, sign) entries, and one
+R x K array that the solver loop owns and the step consumes.  Each loop
+top writes B into it, and the stationarity reads B only through
+B^T lam; the step then scales it in place into Jt and Jt's unit-norm
+rows.  A converged run stops at a loop top, with B still in the array
+for the rank; an unconverged one writes B again for its best point
+first.  The R x K arrays left per iteration are the row norms' Jt * Jt
+and the thin QR's own copies and Q, so a fit at R = 468, K = 2187 peaks
+near 3.4 R x K arrays (28 MB under tracemalloc).
 
 Model search follows a three step procedure: test each single missing
 link, remove everything individually removable and reintroduce links one
@@ -163,10 +162,6 @@ RIDGE = 1e-12
 
 # halvings of the step length tried before an iteration counts as stalled
 STEP_HALVING_MAX = 20
-
-# cells per block of EventMap.spread's added gathers: a rows x 256 temporary
-SPREAD_BLOCK = 256
-
 
 # ---------------------------------------------------------------------------
 # chi-square upper tail
@@ -314,9 +309,9 @@ class EventMap:
     each event's cells in ascending order.  ``ids`` is a d x K table of
     each cell's event ids in ascending order, d the most events any cell
     lies in (at least 1); a shorter column is padded with ``shape[0]``,
-    the id of an extra all-zero column, and a cell in no event has only
-    padding.  ``shape`` and ``nbytes`` read as a dense A's would, with
-    ``nbytes`` counting these three arrays.
+    and a cell in no event has only padding.  ``shape`` and ``nbytes``
+    read as a dense A's would, with ``nbytes`` counting these three
+    arrays.
     """
 
     def __init__(self, rows, cols, shape):
@@ -340,47 +335,97 @@ class EventMap:
         """A v: v summed over each event's cells."""
         return np.bincount(self.rows, weights=v[self.cols], minlength=self.shape[0])
 
-    def spread(self, X, w, out):
-        """X diag(w) A for X with one column per event, C-ordered.
+    def groups(self):
+        """The cells grouped by the events they lie in: each cell's group
+        and the first cell of each group.  The cells in no event are one
+        group."""
+        n_cells = self.shape[1]
+        order = np.lexsort(self.ids[::-1])
+        ids = self.ids[:, order]
+        first = np.ones(n_cells, dtype=bool)
+        first[1:] = (ids[:, 1:] != ids[:, :-1]).any(axis=0)
+        labels = np.empty(n_cells, dtype=np.intp)
+        labels[order] = np.cumsum(first) - 1
+        return labels, order[first]
 
-        Column k is the sum of the columns of X * w at cell k's event ids,
-        added in ascending id order as a dense product adds them.
-        ``np.take`` keeps the gathers C-ordered, where ``Xw[:, ids]`` would
-        give F order.  The result is written into ``out``, a C-ordered
-        rows x cells array the caller owns; no rows x cells temporary is
-        made, as the gathers past the first are added ``SPREAD_BLOCK``
-        columns at a time.  Mode "clip" lets ``np.take``
-        write straight into ``out``; every id is in range, so it clips none.
+
+def _ranges(starts, counts):
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, one after another."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _entry_product(entries, v, n_rows):
+    """X v for a matrix X kept as its (rows, cols, values) entries: each
+    row's value * v[col] summed in entry order."""
+    rows, cols, values = entries
+    return np.bincount(rows, weights=values * v[cols], minlength=n_rows)
+
+
+class CoefficientMap:
+    """The coefficient matrix C (rows x events), kept as its nonzeros.
+
+    ``rows``, ``events`` and ``values`` list the nonzero entries row by
+    row, each row's events in ascending order.  For the Jacobian, each
+    entry is listed again once per cell of its event, ordered by event id:
+    ``targets`` is the flat position row * K + cell of each copy in a
+    C-ordered rows x cells array, and ``sources`` the entry it copies.
+    ``shape`` and ``nbytes`` read as a dense C's would, with ``nbytes``
+    counting these five arrays.
+    """
+
+    def __init__(self, rows, events, values, n_rows, event_map: EventMap):
+        self.rows, self.events, self.values = rows, events, values
+        n_events, n_cells = event_map.shape
+        self.shape = (n_rows, n_events)
+        size = np.bincount(event_map.rows, minlength=n_events)
+        by_event = np.argsort(events, kind="stable")
+        copies = size[events[by_event]]
+        self.sources = np.repeat(by_event, copies)
+        # the event's (event, cell) pairs are consecutive from its first
+        pairs = _ranges((np.cumsum(size) - size)[events[by_event]], copies)
+        self.targets = rows[self.sources] * n_cells + event_map.cols[pairs]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.rows, self.events, self.values, self.sources, self.targets)
+        return sum(a.nbytes for a in arrays)
+
+    def dot(self, v):
+        """C v, each row's terms added in ascending event order."""
+        return _entry_product((self.rows, self.events, self.values), v, self.shape[0])
+
+    def scatter(self, w, out):
+        """C diag(w) A, written into ``out``, a C-ordered rows x cells array.
+
+        ``out`` is zero-filled and each entry's c * w[event] is added at
+        its event's cells.  The copies are added in the order of
+        ``targets``, so each cell receives its events' terms in ascending
+        event id, the order in which a dense product adds them.
         """
-        padded = np.zeros((X.shape[0], self.shape[0] + 1))
-        np.multiply(X, w, out=padded[:, :-1])
-        out = np.take(padded, self.ids[0], axis=1, out=out, mode="clip")
-        for ids in self.ids[1:]:
-            for start in range(0, ids.size, SPREAD_BLOCK):
-                block = slice(start, start + SPREAD_BLOCK)
-                out[:, block] += np.take(padded, ids[block], axis=1)
+        out.fill(0.0)
+        np.add.at(out.reshape(-1), self.targets, (self.values * w[self.events])[self.sources])
         return out
 
 
 @dataclass(frozen=True)
 class CompiledSystem:
     """Constraint rows as h(pi) = C log(A pi); A is the ``EventMap`` of
-    the events' cells, not a dense matrix.  ``A.shape`` is (events, cells)
-    and ``A.nbytes`` counts the map's own arrays.  C is dense, rows x
-    events, so that C log(A pi) is one matrix-vector product.
+    the events' cells and C the ``CoefficientMap`` of the rows' nonzero
+    coefficients, neither a dense matrix.  ``A.shape`` is (events, cells),
+    ``C.shape`` is (rows, events), and each ``nbytes`` counts the map's own
+    arrays.
 
     The parameters referenced by the system are P log(A pi), P holding one
     signed event row per entry of ``indices``; C = C_idx P for the rows'
     coefficients C_idx on those parameters.  P is kept as its nonzero
     entries ``P_entries`` = (rows, events, signs), index by index and each
-    index's events in signed-event order, and made dense only inside
-    ``param_values``, for ``eta_hat``.
+    index's events in signed-event order.
     """
 
     variables: tuple
     indices: tuple
     A: EventMap
-    C: np.ndarray
+    C: CoefficientMap
     P_entries: tuple
 
     @property
@@ -388,7 +433,8 @@ class CompiledSystem:
         return self.C.shape[0]
 
     def param_values(self, pi):
-        """Every parameter in ``indices`` at pi, in that order."""
+        """Every parameter in ``indices`` at pi, in that order: each index's
+        signed log masses added in entry order."""
         masses = self.A.sums(pi)
         rows, events, signs = self.P_entries
         if np.any(masses <= 0.0):
@@ -396,10 +442,7 @@ class CompiledSystem:
             raise ZeroMassSliceError(
                 f"zero-probability event for parameter {idx.margin}/{idx.effect}"
             )
-        # the dense product, for its summation order
-        P = np.zeros((len(self.indices), self.A.shape[0]))
-        P[rows, events] = signs
-        return P @ np.log(masses)
+        return _entry_product(self.P_entries, np.log(masses), len(self.indices))
 
 
 def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledSystem:
@@ -410,9 +453,11 @@ def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledS
     ``system.indices``, as a fresh cache numbers them: it fixes the
     summation order of C log(A pi).
 
-    C is accumulated entry by entry, coef * sign for each row term and
-    each of its index's signed events, with no C_idx matrix or product:
-    every addend is an integer, so each entry is exact whatever the order.
+    C's entries are summed from coef * sign for each row term and each of
+    its index's signed events, with no C_idx matrix or product: the addends
+    are sorted by (row, event) and each run added up.  Every addend is an
+    integer, so each entry is exact whatever the order; entries that sum
+    to zero are dropped.
     """
     variables = tuple(variables)
     if cache is None:
@@ -445,14 +490,17 @@ def compile_system(variables, system: ConstraintSystem, cache=None) -> CompiledS
     ).reshape(-1, 3).T
     # each row term repeated over its index's entries of P
     n = counts[term_index]
-    first = (np.cumsum(counts) - counts)[term_index]
-    entry = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
-    C = np.zeros((len(system.rows), len(pos)))
-    np.add.at(
-        C,
-        (np.repeat(term_rows, n), P_events[entry]),
-        np.repeat(term_coefs, n) * P_signs[entry],
-    )
+    entry = _ranges((np.cumsum(counts) - counts)[term_index], n)
+    rows, events = np.repeat(term_rows, n), P_events[entry]
+    values = np.repeat(term_coefs, n) * P_signs[entry]
+    order = np.lexsort((events, rows))
+    rows, events, values = rows[order], events[order], values[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (events[1:] != events[:-1])
+    starts = np.flatnonzero(first)
+    values = np.add.reduceat(values, starts)
+    keep = values != 0.0
+    C = CoefficientMap(rows[starts][keep], events[starts][keep], values[keep], len(system.rows), A)
     return CompiledSystem(variables, indices, A, C, (P_rows, P_events, P_signs))
 
 
@@ -481,19 +529,19 @@ def _point(compiled, p_obs, x):
     if np.any(masses <= 0.0):
         return None
     loglik = float(p_obs @ z) - math.log(total)
-    return _Point(x, pi, masses, loglik, compiled.C @ np.log(masses))
+    return _Point(x, pi, masses, loglik, compiled.C.dot(np.log(masses)))
 
 
 def _centred_jacobian(compiled, point, out):
     """B = M - (M pi) 1^T for M = dh/dpi; the logit Jacobian is B diag(pi).
 
-    M = C diag(1/m) A for the event masses m, gathered by ``EventMap.spread``
-    from the columns of C * (1/m): d column gathers added in event order,
-    the same sums as the dense product, C-ordered so that M pi and the QR
-    of the step see the dense product's layout.  M is written into ``out``
-    and centred in place.
+    M = C diag(1/m) A for the event masses m is scattered by
+    ``CoefficientMap.scatter`` into ``out``, the fit's one R x K array:
+    each cell's terms are added in ascending event id, the same sums as
+    the dense product, and ``out`` is C-ordered so that M pi and the QR of
+    the step see the dense product's layout.  M is then centred in place.
     """
-    M = compiled.A.spread(compiled.C, 1.0 / point.masses, out=out)
+    M = compiled.C.scatter(1.0 / point.masses, out)
     M -= (M @ point.pi)[:, None]
     return M
 
@@ -564,12 +612,21 @@ def _projection_step(B, pi, g, h):
     return dx, lam
 
 
-def _rank(B, pi, rows) -> int:
-    """Numerical rank of J = B diag(pi); B is scaled to J in place."""
+def _rank(compiled, B, pi) -> int:
+    """Numerical rank of J = B diag(pi), from one column per group of
+    cells that lie in the same events.
+
+    Such cells share their column b of B, so J J^T sums b b^T times the
+    group's sum of pi^2 over the groups: the columns b sqrt(sum pi^2) have
+    J's singular values in exact arithmetic.  B is only read.
+    """
+    rows = compiled.n_rows
     if B.size == 0 or rows == 0:
         return 0
-    B *= pi[None, :]
-    sv = np.linalg.svd(B, compute_uv=False)
+    labels, cells = compiled.A.groups()
+    J = B[:, cells]
+    J *= np.sqrt(np.bincount(labels, weights=pi * pi))
+    sv = np.linalg.svd(J, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > sv[0] * 1e-10 * rows))
@@ -665,7 +722,7 @@ def fit_constrained(
         _, _, point, lam = best
         B, stationarity, feas = _kkt(compiled, p_obs, point, lam, work)
     kkt_residual = max(stationarity, feas)
-    df = _rank(B, point.pi, compiled.n_rows)
+    df = _rank(compiled, B, point.pi)
 
     # a truncated run is merely unconverged; only a stalled solver that is
     # still far from the constraint set indicates an infeasible system

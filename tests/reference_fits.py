@@ -15,7 +15,9 @@ planted 128-cell tables of slots 0, 2, 5 and 9.  The inputs come from
 To compare a change with its parent, copy this file into the parent's
 checkout, run ``--save`` there, then ``--compare`` here.  The comparison
 prints, per workload, the largest relative change of G2 and the largest
-absolute change of a ``pi_hat`` cell, and lists every fit whose df,
+absolute change of a ``pi_hat`` cell, of an ``eta_hat`` value and of
+``kkt_residual`` (for a search, of its final fit's), and lists every fit
+whose df,
 iterations or ``converged`` differ, and every search whose final graph,
 final df, candidate count or any candidate's df, iterations,
 ``converged`` or error differs.  It exits 1 when it lists one, 0
@@ -29,6 +31,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -53,7 +56,9 @@ def fit_record(table_text: str, graph) -> dict:
         "df": res.df,
         "iterations": res.iterations,
         "converged": res.converged,
+        "kkt_residual": res.kkt_residual,
         "pi_hat": res.pi_hat.as_array().ravel().tolist(),
+        "eta_hat": list(res.eta_hat.values()),
     }
 
 
@@ -81,6 +86,8 @@ def search_record(slot: int) -> dict:
     return {
         "final_graph": trace["final_graph"],
         "final_df": trace["final_fit"]["df"],
+        "final_kkt_residual": trace["final_fit"]["kkt_residual"],
+        "final_eta_hat": [p["value"] for p in trace["final_fit"]["eta_hat"]],
         "candidates": candidates(trace),
     }
 
@@ -103,6 +110,14 @@ def relative(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+def largest_change(a: list, b: list) -> float:
+    """The largest absolute change between two lists of floats; inf when
+    their lengths differ."""
+    if len(a) != len(b):
+        return math.inf
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
 def compare(old: dict, new: dict) -> list:
     """Print the float changes; return the mismatches."""
     mismatches = []
@@ -110,22 +125,27 @@ def compare(old: dict, new: dict) -> list:
         new_fits = new["fits"][workload]
         if old_fits.keys() != new_fits.keys():
             mismatches.append(f"{workload}: the set of fitted tables differs")
-        g2 = pi = 0.0
+        g2 = pi = eta = kkt = 0.0
         for key in sorted(old_fits.keys() & new_fits.keys()):
             a, b = old_fits[key], new_fits[key]
             for field in ("df", "iterations", "converged"):
                 if a[field] != b[field]:
                     mismatches.append(f"{workload} {key}: {field} {a[field]!r} != {b[field]!r}")
             g2 = max(g2, relative(a["G2"], b["G2"]))
-            pi = max(pi, max(abs(x - y) for x, y in zip(a["pi_hat"], b["pi_hat"])))
+            pi = max(pi, largest_change(a["pi_hat"], b["pi_hat"]))
+            eta = max(eta, largest_change(a["eta_hat"], b["eta_hat"]))
+            kkt = max(kkt, abs(a["kkt_residual"] - b["kkt_residual"]))
         print(f"{workload}: {len(old_fits)} fits; max rel G2 change {g2:.2e}; "
-              f"max abs pi_hat change {pi:.2e}")
-    g2 = 0.0
+              f"max abs pi_hat change {pi:.2e}; max abs eta_hat change {eta:.2e}; "
+              f"max abs kkt_residual change {kkt:.2e}")
+    g2 = eta = kkt = 0.0
     for slot, a in old["searches"].items():
         b = new["searches"][slot]
         for field in ("final_graph", "final_df"):
             if a[field] != b[field]:
                 mismatches.append(f"search slot {slot}: {field} differs")
+        eta = max(eta, largest_change(a["final_eta_hat"], b["final_eta_hat"]))
+        kkt = max(kkt, abs(a["final_kkt_residual"] - b["final_kkt_residual"]))
         if len(a["candidates"]) != len(b["candidates"]):
             mismatches.append(f"search slot {slot}: {len(a['candidates'])} candidates "
                               f"!= {len(b['candidates'])}")
@@ -140,7 +160,9 @@ def compare(old: dict, new: dict) -> list:
                     mismatches.append(f"search slot {slot} candidate {k}: {field} "
                                       f"{ca['fit'][field]!r} != {cb['fit'][field]!r}")
             g2 = max(g2, relative(ca["fit"]["G2"], cb["fit"]["G2"]))
-    print(f"search: slots {', '.join(old['searches'])}; max rel candidate G2 change {g2:.2e}")
+    print(f"search: slots {', '.join(old['searches'])}; max rel candidate G2 change {g2:.2e}; "
+          f"final fit: max abs eta_hat change {eta:.2e}, "
+          f"max abs kkt_residual change {kkt:.2e}")
     for line in mismatches:
         print(f"  mismatch  {line}")
     return mismatches

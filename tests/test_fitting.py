@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +47,7 @@ from scgm.fitting import (
     _kkt,
     _point,
     _projection_step,
+    _rank,
     compile_system,
     fit_constrained,
     fit_to_json,
@@ -58,6 +60,11 @@ from scgm.oracle import plant_graph_distribution, random_positive
 from scgm.params import param_index, param_value, signed_events
 from scgm.regression import scgm_constraint_system
 from scgm.tables import ContingencyTable, VariableSpec, load_table, probability_vector
+
+# the benchmark's input generator, for the reference fits
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 TIGHT = FitOptions(constraint_tolerance=1e-12, gradient_tolerance=1e-11)
 
@@ -268,6 +275,13 @@ def dense_P(compiled):
     P = np.zeros((len(compiled.indices), compiled.A.shape[0]))
     P[rows, events] = signs
     return P
+
+
+def dense_C(compiled):
+    """The dense C that a compiled system keeps as its nonzeros."""
+    C = np.zeros(compiled.C.shape)
+    C[compiled.C.rows, compiled.C.events] = compiled.C.values
+    return C
 
 
 def test_compile_system_rejects_a_cache_for_other_variables():
@@ -648,8 +662,10 @@ def test_search_compiles_through_one_cache_with_unchanged_arrays(monkeypatch, tm
         event_map = (compiled.A.rows, compiled.A.cols, compiled.A.ids)
         assert_same_arrays(event_map, (fresh.A.rows, fresh.A.cols, fresh.A.ids))
         assert_same_arrays(compiled.P_entries, fresh.P_entries)
-        got = (dense_matrix(compiled.A), compiled.C, dense_P(compiled))
-        assert_same_arrays(got[:2], (dense_matrix(fresh.A), fresh.C))
+        coefficients = (compiled.C.rows, compiled.C.events, compiled.C.values)
+        assert_same_arrays(coefficients, (fresh.C.rows, fresh.C.events, fresh.C.values))
+        got = (dense_matrix(compiled.A), dense_C(compiled), dense_P(compiled))
+        assert_same_arrays(got[:2], (dense_matrix(fresh.A), dense_C(fresh)))
         A, C_idx, P = reference_compile(V4, system)
         assert_same_arrays(got, (A, C_idx @ P, P))
 
@@ -1073,8 +1089,8 @@ def test_the_stationarity_reads_b_transpose_lambda(kkt_systems):
 
 
 def dense_centred_jacobian(compiled, point):
-    """B formed through a dense A, the reference for the event map's gathers."""
-    M = compiled.C @ (dense_matrix(compiled.A) / point.masses[:, None])
+    """B formed through a dense C and A, the reference for the scatter."""
+    M = dense_C(compiled) @ (dense_matrix(compiled.A) / point.masses[:, None])
     return M - (M @ point.pi)[:, None]
 
 
@@ -1119,8 +1135,7 @@ def test_centred_jacobian_equals_the_dense_product(case, request):
         assert np.allclose(point.masses, dense_matrix(compiled.A) @ point.pi, rtol=1e-14, atol=0)
         depths.add(compiled.A.ids.shape[0])
     if case in ("fig4-3^7", "planted128-search"):
-        # cells in several events: the gathers are added, not only copied,
-        # and on 2187 cells in several column blocks
+        # cells in several events: the scatter adds terms, not only copies
         assert max(depths) > 1
 
 
@@ -1134,8 +1149,8 @@ def test_event_map_gives_uncovered_cells_zero_columns():
     assert uncovered.tolist() == [True] * 2 + [False] * 4
     table = ContingencyTable(vs, np.arange(1.0, 7.0))
     point = start_point(compiled, table)
-    M = compiled.A.spread(compiled.C, 1.0 / point.masses, out=np.empty((1, 6)))
-    assert np.array_equal(M, compiled.C @ (A / point.masses[:, None]))
+    M = compiled.C.scatter(1.0 / point.masses, out=np.empty((1, 6)))
+    assert np.array_equal(M, dense_C(compiled) @ (A / point.masses[:, None]))
     assert not M[:, uncovered].any()
     B = _centred_jacobian(compiled, point, out=np.empty((1, 6)))
     assert np.array_equal(B, dense_centred_jacobian(compiled, point))
@@ -1151,10 +1166,66 @@ def test_event_map_of_a_system_without_events():
     assert compiled.param_values(point.pi).shape == (0,)
 
 
+def full_rank(B, pi):
+    """The rank of J = B diag(pi) from the SVD of all its columns, with
+    the fit's cutoff."""
+    sv = np.linalg.svd(B * pi, compute_uv=False)
+    return int(np.sum(sv > sv[0] * 1e-10 * B.shape[0]))
+
+
+def test_the_grouped_rank_equals_the_full_rank_at_the_reference_fits(monkeypatch):
+    # the 70 tables of the benchmark's fit workloads, at each fit's pi_hat
+    from perfbench import workloads
+
+    grouped = scgm.fitting._rank
+    ranks = []
+
+    def both(compiled, B, pi):
+        df = grouped(compiled, B, pi)
+        ranks.append((df, full_rank(B, pi)))
+        return df
+
+    monkeypatch.setattr(scgm.fitting, "_rank", both)
+    fig4 = load_graph(workloads.FIG4)
+    for workload in ("fit-dense", "fit-sparse"):
+        for slot in range(workloads.FIT_SLOTS):
+            for table in workloads.tables_for(workload, slot):
+                table = load_table(workloads.table_csv(table), format="csv")
+                fit_constrained(table, scgm_constraint_system(fig4, table.variables))
+    assert len(ranks) == 70
+    assert all(df == full for df, full in ranks), ranks
+
+
+def test_the_grouped_rank_equals_the_full_rank_on_a_search(planted128_search_systems):
+    # every system a search compiles, at its start point
+    table, systems = planted128_search_systems
+    for system in systems:
+        compiled = compile_system(table.variables, system)
+        point = start_point(compiled, table)
+        B = _centred_jacobian(compiled, point, out=np.empty((compiled.n_rows, table.counts.size)))
+        kept = B.copy()
+        assert _rank(compiled, B, point.pi) == full_rank(B, point.pi)
+        assert np.array_equal(B, kept)
+
+
+def test_the_grouped_rank_of_a_repeated_row():
+    # fig4's 66 rows on 288 cells, the first once more: J has rank 66 of 67
+    table = golden_table("fig4_sparse288_0.csv")
+    system = scgm_constraint_system(FIG4, table.variables)
+    system = replace(system, rows=system.rows + system.rows[:1])
+    compiled = compile_system(table.variables, system)
+    assert compiled.n_rows == 67
+    point = start_point(compiled, table)
+    B = _centred_jacobian(compiled, point, out=np.empty((67, table.counts.size)))
+    assert np.array_equal(B[0], B[-1])
+    assert _rank(compiled, B, point.pi) == full_rank(B, point.pi) == 66
+
+
 @pytest.mark.parametrize("case", ["fig4-3^7", "fig4-288", "planted128-candidate"])
 def test_compile_matches_the_coefficient_product_and_the_dense_p(case):
-    # C is accumulated from the rows' terms and P kept as its entries; the
-    # reference forms C_idx and P densely and takes their product
+    # C is summed from the rows' terms and kept as its nonzeros, P kept as
+    # its entries; the reference forms C_idx and P densely and takes their
+    # product
     table, graph = {
         "fig4-3^7": lambda: (dense_table(0), FIG4),
         "fig4-288": lambda: (golden_table("fig4_sparse288_0.csv"), FIG4),
@@ -1164,16 +1235,23 @@ def test_compile_matches_the_coefficient_product_and_the_dense_p(case):
     compiled = compile_system(table.variables, system)
     A, C_idx, P = reference_compile(table.variables, system)
     assert np.array_equal(dense_matrix(compiled.A), A)
-    assert np.array_equal(compiled.C, C_idx @ P)
+    assert np.array_equal(dense_C(compiled), C_idx @ P)
+    assert np.all(compiled.C.values != 0.0)
     assert np.array_equal(dense_P(compiled), P)
     pi = start_point(compiled, table).pi
-    assert np.array_equal(compiled.param_values(pi), P @ np.log(compiled.A.sums(pi)))
+    # each index's signed log masses, added in stored entry order
+    logs = np.log(compiled.A.sums(pi))
+    want = [0.0] * len(compiled.indices)
+    for row, event, sign in zip(*compiled.P_entries):
+        want[row] += sign * logs[event]
+    assert np.array_equal(compiled.param_values(pi), np.array(want))
 
 
-def test_a_dense_fit_holds_about_four_jacobian_sized_arrays():
+def test_a_dense_fit_holds_about_three_and_a_half_jacobian_sized_arrays():
     # the fit's working set in units of one R x K array of floats: the one
     # array that holds B and then Jt, and the thin QR's copies of Jt and its
-    # Q, at its peak; a second buffer for B diag(pi) and Jt read 4.99
+    # Q, at its peak; a second buffer for B diag(pi) and Jt read 4.99, and a
+    # dense C (R x events, 0.64 of a unit on 3^7 cells) beside one buffer 4.01
     table = dense_table(1)
     system = scgm_constraint_system(FIG4, table.variables)
     unit = len(system.rows) * table.counts.size * 8
@@ -1184,7 +1262,7 @@ def test_a_dense_fit_holds_about_four_jacobian_sized_arrays():
     finally:
         tracemalloc.stop()
     assert result.converged
-    assert peak <= 4.25 * unit, peak / unit
+    assert peak <= 3.6 * unit, peak / unit
 
 
 def planted_expected_counts(text, cards, seed):
